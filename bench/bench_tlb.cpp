@@ -209,10 +209,15 @@ std::string ConvChromeTrace(bool touch_knobs) {
   config.vim.prefetch = os::PrefetchKind::kSequential;
   config.vim.overlap_prefetch = true;
   FpgaSystem sys(config);
+  sys.kernel().timeline().Enable();
   const std::vector<u8> image = apps::MakeTestImage(96, 24, 7);
   const auto run = runtime::RunConv3x3Vim(sys, image, 96, 24,
                                           apps::SharpenKernel(), 0);
   VCOP_CHECK_MSG(run.ok(), run.status().ToString());
+  // A trace that lost records would compare only its prefix.
+  VCOP_CHECK_MSG(sys.kernel().timeline().dropped() == 0 &&
+                     !sys.kernel().timeline().events().empty(),
+                 "conv2d timeline is empty or dropped records");
   return sys.kernel().timeline().ToChromeTrace();
 }
 

@@ -48,6 +48,9 @@ int Main() {
       apps::MakeTestImage(kWidth, kHeight, 2026);
 
   runtime::FpgaSystem sys(runtime::Epxa1Config());
+  // The timeline recorder is off by default; turn it on to export the
+  // Chrome trace below.
+  sys.kernel().timeline().Enable();
   auto run = runtime::RunConv3x3Vim(sys, image, kWidth, kHeight,
                                     apps::SobelXKernel(), /*shift=*/0);
   VCOP_CHECK_MSG(run.ok(), run.status().ToString());

@@ -37,6 +37,9 @@ class Logger {
   /// a capturing sink; pass nullptr to restore the default.
   void set_sink(Sink sink);
 
+  /// Whether messages at `level` reach the sink.
+  bool enabled(LogLevel level) const { return level >= min_level_; }
+
   /// Emits `message` at `level` if enabled.
   void Log(LogLevel level, std::string_view message);
 
@@ -46,8 +49,15 @@ class Logger {
   Sink sink_;
 };
 
-/// Convenience wrappers: VCOP_LOG(kDebug, "message " + detail);
-#define VCOP_LOG(level, msg) \
-  ::vcop::Logger::Get().Log(::vcop::LogLevel::level, (msg))
+/// Convenience wrapper: VCOP_LOG(kDebug, "message " + detail). `msg` is
+/// evaluated only when the level is enabled, so a disabled debug line
+/// on a hot path costs one comparison, not a formatted string.
+#define VCOP_LOG(level, msg)                                       \
+  do {                                                             \
+    ::vcop::Logger& vcop_logger_ = ::vcop::Logger::Get();          \
+    if (vcop_logger_.enabled(::vcop::LogLevel::level)) {           \
+      vcop_logger_.Log(::vcop::LogLevel::level, (msg));            \
+    }                                                              \
+  } while (false)
 
 }  // namespace vcop

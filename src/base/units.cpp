@@ -11,10 +11,15 @@ Picoseconds Frequency::EdgeTimeWide(u64 cycle) const {
 }
 
 u64 Frequency::CyclesAtWide(Picoseconds t) const {
-  // First estimate of floor(t * f / 1e12); the caller nudges it onto the
-  // defining inequality EdgeTime(k) <= t < EdgeTime(k+1).
-  const unsigned __int128 num = static_cast<unsigned __int128>(t) * ps_den_;
-  return static_cast<u64>(num / ps_num_);
+  const unsigned __int128 scaled =
+      (static_cast<unsigned __int128>(t) + 1) * ps_den_ - 1;
+  return static_cast<u64>(scaled / ps_num_);
+}
+
+u64 Frequency::FirstEdgeAtOrAfterWide(Picoseconds t) const {
+  const unsigned __int128 scaled =
+      static_cast<unsigned __int128>(t) * ps_den_ + (ps_num_ - 1);
+  return static_cast<u64>(scaled / ps_num_);
 }
 
 std::string Frequency::ToString() const {

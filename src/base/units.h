@@ -9,6 +9,7 @@
 // than by accumulating a rounded period, which would drift.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <compare>
 #include <limits>
@@ -37,7 +38,9 @@ class Frequency {
       ps_num_ = kPicosecondsPerSecond / g;
       ps_den_ = hertz / g;
       edge_fast_max_ = std::numeric_limits<u64>::max() / ps_num_;
-      cycles_fast_max_ = std::numeric_limits<u64>::max() / ps_den_;
+      grid_fast_max_ = (std::numeric_limits<u64>::max() -
+                        std::max(ps_num_, ps_den_)) /
+                       ps_den_;
       div_num_ = U64Div(ps_num_);
       div_den_ = U64Div(ps_den_);
     }
@@ -54,23 +57,35 @@ class Frequency {
   /// 1e12/hertz = ps_num_/ps_den_ so the modelled MHz-scale clocks
   /// (whose ps_den_ fits in a few bits) stay in 64-bit arithmetic; odd
   /// frequencies or huge cycle counts fall back to a 128-bit divide.
+  /// Integer-picosecond clocks (ps_den_ == 1) need no divide at all.
   Picoseconds EdgeTime(u64 cycle) const {
     VCOP_CHECK_MSG(valid(), "EdgeTime on a zero frequency");
-    if (cycle <= edge_fast_max_) return div_den_.Divide(cycle * ps_num_);
+    if (cycle <= edge_fast_max_) {
+      const u64 scaled = cycle * ps_num_;
+      return ps_den_ == 1 ? scaled : div_den_.Divide(scaled);
+    }
     return EdgeTimeWide(cycle);
   }
 
   /// Number of complete cycles of this clock elapsed at time `t`,
-  /// i.e. the largest k with EdgeTime(k) <= t.
+  /// i.e. the largest k with EdgeTime(k) <= t. Since EdgeTime(k) =
+  /// floor(k*num/den), EdgeTime(k) <= t  <=>  k*num < (t+1)*den, so
+  /// k = ((t+1)*den - 1) / num exactly — one divide.
   u64 CyclesAt(Picoseconds t) const {
     VCOP_CHECK_MSG(valid(), "CyclesAt on a zero frequency");
-    u64 k = t <= cycles_fast_max_ ? div_num_.Divide(t * ps_den_)
-                                  : CyclesAtWide(t);
-    // floor(t*den/num) can be off by one from the true inverse because
-    // EdgeTime itself floors; nudge onto the defining inequality.
-    while (EdgeTime(k) > t) --k;
-    while (EdgeTime(k + 1) <= t) ++k;
-    return k;
+    if (t <= grid_fast_max_) return div_num_.Divide((t + 1) * ps_den_ - 1);
+    return CyclesAtWide(t);
+  }
+
+  /// The first edge at or after time `t`: the smallest k with
+  /// EdgeTime(k) >= t. For integer t, floor(x) >= t  <=>  x >= t, so
+  /// k = ceil(t*den/num) — one divide.
+  u64 FirstEdgeAtOrAfter(Picoseconds t) const {
+    VCOP_CHECK_MSG(valid(), "FirstEdgeAtOrAfter on a zero frequency");
+    if (t <= grid_fast_max_) {
+      return div_num_.Divide(t * ps_den_ + (ps_num_ - 1));
+    }
+    return FirstEdgeAtOrAfterWide(t);
   }
 
   /// Duration of `cycles` cycles, rounded down to integer picoseconds.
@@ -122,13 +137,16 @@ class Frequency {
 
   Picoseconds EdgeTimeWide(u64 cycle) const;
   u64 CyclesAtWide(Picoseconds t) const;
+  u64 FirstEdgeAtOrAfterWide(Picoseconds t) const;
 
   u64 hertz_ = 0;
   // Reduced fraction: 1e12 / hertz_ == ps_num_ / ps_den_ exactly.
   u64 ps_num_ = 0;
   u64 ps_den_ = 1;
-  u64 edge_fast_max_ = 0;    // largest cycle with cycle*ps_num_ in 64 bits
-  u64 cycles_fast_max_ = 0;  // largest t with t*ps_den_ in 64 bits
+  u64 edge_fast_max_ = 0;  // largest cycle with cycle*ps_num_ in 64 bits
+  // Largest t whose (t+1)*ps_den_ and t*ps_den_ + ps_num_ - 1 both fit
+  // 64 bits (the CyclesAt and FirstEdgeAtOrAfter dividends).
+  u64 grid_fast_max_ = 0;
   U64Div div_num_;           // divide-by-ps_num_ reciprocal
   U64Div div_den_;           // divide-by-ps_den_ reciprocal
 };

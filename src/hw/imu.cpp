@@ -167,7 +167,7 @@ void Imu::Issue(const CpAccess& access) {
   cp_consumed_ = false;
   if (posted_ && cp_domain_ != nullptr) {
     // Early acknowledgement: visible at the core's next rising edge.
-    const Frequency f = cp_domain_->frequency();
+    const Frequency& f = cp_domain_->frequency();
     ack_at_ = f.EdgeTime(f.CyclesAt(sim_.now()) + 1);
     cp_domain_->KickAt(ack_at_);
   }
@@ -284,7 +284,7 @@ Picoseconds Imu::NextOwnEdgeTime() const {
 }
 
 Picoseconds Imu::OwnEdgeStrictlyAfter(Picoseconds t) const {
-  const Frequency f = own_domain_->frequency();
+  const Frequency& f = own_domain_->frequency();
   return f.EdgeTime(f.CyclesAt(t) + 1);
 }
 
@@ -331,7 +331,7 @@ bool Imu::TryFastForward() {
   // IMU edge after the one at or before issue time, and data is valid
   // on the edge after that (exactly where the cycle-stepped engine
   // lands — see NextInterestingEdge/OnRisingEdge).
-  const Frequency f = own_domain_->frequency();
+  const Frequency& f = own_domain_->frequency();
   const u64 base = f.CyclesAt(sim_.now());
   const Picoseconds translate_time = f.EdgeTime(base + ObservationsNeeded());
   if (!sim_.AnalyticJumpAllowed(translate_time)) return false;

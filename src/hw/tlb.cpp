@@ -106,15 +106,14 @@ void Tlb::ClearDirty(u32 index) {
   entries_[index].dirty = false;
 }
 
-std::vector<mem::FrameId> Tlb::HarvestAccessed() {
-  std::vector<mem::FrameId> touched;
+void Tlb::HarvestAccessed(std::vector<mem::FrameId>& touched) {
+  touched.clear();
   for (TlbEntry& e : entries_) {
     if (e.valid && e.accessed) {
       touched.push_back(e.frame);
       e.accessed = false;
     }
   }
-  return touched;
 }
 
 std::optional<u32> Tlb::FindByFrame(mem::FrameId frame) const {

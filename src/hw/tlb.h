@@ -122,9 +122,11 @@ class Tlb {
   /// (written back without being evicted).
   void ClearDirty(u32 index);
 
-  /// Returns the frames of entries accessed since the last harvest and
-  /// clears their accessed bits. OS-side recency source for LRU.
-  std::vector<mem::FrameId> HarvestAccessed();
+  /// Replaces `touched` with the frames of entries accessed since the
+  /// last harvest and clears their accessed bits. OS-side recency
+  /// source for LRU; runs on every fault, so the caller's buffer is
+  /// reused instead of allocating one.
+  void HarvestAccessed(std::vector<mem::FrameId>& touched);
 
   /// Finds the valid entry mapping physical frame `frame`, if any.
   std::optional<u32> FindByFrame(mem::FrameId frame) const;

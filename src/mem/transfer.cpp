@@ -103,9 +103,7 @@ TransferResult TransferEngine::StoreDirect(DualPortRam& dp, u32 src,
     total_time_ += r.time;
     return r;
   }
-  std::vector<u8> buf(len);
-  dp.Read(DualPortRam::Port::kProcessor, src, buf);
-  user.WriteBytes(dst, buf);
+  dp.Read(DualPortRam::Port::kProcessor, src, user.View(dst, len));
   TransferResult r;
   r.bytes = len;
   r.time = PriceDirect(len);
@@ -124,7 +122,6 @@ BurstResult TransferEngine::StoreBurstDirect(
     std::span<const StoreSegment> segments) {
   BurstResult r;
   u32 done_len = 0;
-  std::vector<u8> buf;
   for (const StoreSegment& seg : segments) {
     if (fault_plan_ && fault_plan_->ShouldInject(FaultSite::kAhbError)) {
       r.bus_error = true;
@@ -133,9 +130,8 @@ BurstResult TransferEngine::StoreBurstDirect(
       total_time_ += r.time;
       return r;
     }
-    buf.resize(seg.len);
-    dp.Read(DualPortRam::Port::kProcessor, seg.src, buf);
-    user.WriteBytes(seg.dst, buf);
+    dp.Read(DualPortRam::Port::kProcessor, seg.src,
+            user.View(seg.dst, seg.len));
     done_len += seg.len;
     r.bytes += seg.len;
     ++r.completed_segments;
@@ -191,9 +187,7 @@ TransferResult TransferEngine::StorePage(DualPortRam& dp, u32 src,
     total_time_ += r.time;
     return r;
   }
-  std::vector<u8> buf(len);
-  dp.Read(DualPortRam::Port::kProcessor, src, buf);
-  user.WriteBytes(dst, buf);
+  dp.Read(DualPortRam::Port::kProcessor, src, user.View(dst, len));
   TransferResult r;
   r.bytes = len;
   r.time = PriceTransfer(len);
@@ -215,7 +209,6 @@ BurstResult TransferEngine::StoreBurst(
   // per-page store path, so a FaultPlan hits burst and non-burst runs
   // at comparable rates.
   u32 done_len = 0;
-  std::vector<u8> buf;
   for (const StoreSegment& seg : segments) {
     if (mode_ == CopyMode::kDoubleCopy) ++bounce_copies_;
     if (fault_plan_ && fault_plan_->ShouldInject(FaultSite::kAhbError)) {
@@ -228,9 +221,8 @@ BurstResult TransferEngine::StoreBurst(
       total_time_ += r.time;
       return r;
     }
-    buf.resize(seg.len);
-    dp.Read(DualPortRam::Port::kProcessor, seg.src, buf);
-    user.WriteBytes(seg.dst, buf);
+    dp.Read(DualPortRam::Port::kProcessor, seg.src,
+            user.View(seg.dst, seg.len));
     done_len += seg.len;
     r.bytes += seg.len;
     ++r.completed_segments;

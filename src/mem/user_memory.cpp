@@ -1,7 +1,9 @@
 #include "mem/user_memory.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/mman.h>
@@ -63,13 +65,15 @@ Result<UserAddr> UserMemory::Allocate(u32 size) {
 }
 
 bool UserMemory::Contains(UserAddr addr, u32 len) const {
-  for (const Region& r : regions_) {
-    if (addr >= r.base && static_cast<u64>(addr) + len <=
-                              static_cast<u64>(r.base) + r.size) {
-      return true;
-    }
-  }
-  return false;
+  // Regions are disjoint and sorted by base (Allocate appends at a
+  // rising cursor, Reclaim erases in place), so only the last region
+  // starting at or below `addr` can hold the range.
+  const auto after = std::upper_bound(
+      regions_.begin(), regions_.end(), addr,
+      [](UserAddr a, const Region& r) { return a < r.base; });
+  if (after == regions_.begin()) return false;
+  const Region& r = *std::prev(after);
+  return static_cast<u64>(addr) + len <= static_cast<u64>(r.base) + r.size;
 }
 
 std::span<u8> UserMemory::View(UserAddr addr, u32 len) {

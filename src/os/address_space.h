@@ -17,9 +17,9 @@
 // code path bit-identical.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -112,6 +112,30 @@ struct TlbSnapshotEntry {
   mem::FrameId frame = 0;
 };
 
+/// A set of (object, page) pairs kept as a sorted flat vector. The VIM
+/// inserts into it on write-backs during fault service; clear() keeps
+/// the storage, so a space that runs job after job stops allocating.
+class PageSet {
+ public:
+  using Page = std::pair<hw::ObjectId, mem::VirtPage>;
+
+  void insert(Page page) {
+    const u64 key = Key(page);
+    const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
+    if (it == keys_.end() || *it != key) keys_.insert(it, key);
+  }
+  usize count(Page page) const {
+    return std::binary_search(keys_.begin(), keys_.end(), Key(page)) ? 1 : 0;
+  }
+  void clear() { keys_.clear(); }
+
+ private:
+  static u64 Key(Page page) {
+    return (static_cast<u64>(page.first) << 32) | page.second;
+  }
+  std::vector<u64> keys_;  // sorted, unique
+};
+
 class AddressSpace {
  public:
   AddressSpace(u32 pid, hw::Asid asid, std::string name = "")
@@ -133,7 +157,7 @@ class AddressSpace {
   VimAccounting accounting{};
   /// Pages of OUT objects that have been written back at least once;
   /// their next fault must reload them (see Vim::EnsureMapped).
-  std::set<std::pair<hw::ObjectId, mem::VirtPage>> written_back;
+  PageSet written_back;
   /// Frame pinned under the parameter page, while established.
   std::optional<mem::FrameId> param_frame;
   /// The scalar parameters of the current execution, kept so a

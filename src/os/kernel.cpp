@@ -59,6 +59,8 @@ Status Kernel::FpgaLoad(const hw::Bitstream& bitstream) {
   Result<Picoseconds> configured = fabric_.Configure(bitstream);
   if (!configured.ok()) return configured.status();
   last_load_time_ = configured.value();
+  // The previous design's core is gone and its IMU is replaced below.
+  RetireClocks();
 
   // Fresh IMU wired for this design's clocks. The IMU's clock domain is
   // created before the coprocessor's so that, on coincident edges, the
@@ -108,8 +110,8 @@ Status Kernel::FpgaLoad(const hw::Bitstream& bitstream) {
   vim_.BindImu(imu_.get());
 
   // Configuration takes real time on the configuration port.
-  timeline_.Record(StrFormat("configure %s", bitstream.name.c_str()),
-                   "config", sim_.now(), last_load_time_, /*track=*/0);
+  timeline_.Record(TimelineKind::kConfigure, /*track=*/0, sim_.now(),
+                   last_load_time_, 0, 0, bitstream.name);
   sim_.ScheduleAfter(last_load_time_, [] {});
   sim_.RunToIdle();
   return Status::Ok();
@@ -188,9 +190,8 @@ Result<ExecutionReport> Kernel::FpgaExecute(std::span<const u32> params) {
   report.imu = imu_->stats();
   report.tlb = imu_->tlb().stats();
   report.cp_cycles = fabric_.coprocessor()->cycles_run();
-  timeline_.Record(
-      StrFormat("execute %s", fabric_.current_bitstream().name.c_str()),
-      "exec", t0, report.total, /*track=*/1);
+  timeline_.Record(TimelineKind::kExecute, /*track=*/1, t0, report.total, 0,
+                   0, fabric_.current_bitstream().name);
   return report;
 }
 
@@ -200,8 +201,17 @@ Status Kernel::FpgaUnload() {
   }
   vim_.BindImu(nullptr);
   fabric_.Release();
+  RetireClocks();
   imu_.reset();
   return Status::Ok();
+}
+
+void Kernel::RetireClocks() {
+  if (imu_domain_ == nullptr) return;
+  sim_.RetireClockDomain(*imu_domain_);
+  sim_.RetireClockDomain(*cp_domain_);
+  imu_domain_ = nullptr;
+  cp_domain_ = nullptr;
 }
 
 }  // namespace vcop::os

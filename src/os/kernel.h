@@ -198,6 +198,9 @@ class Kernel {
   Vim vim_;
   AddressSpace default_space_;
 
+  /// Retires the loaded design's two clock domains (if any).
+  void RetireClocks();
+
   TimelineRecorder timeline_;
   std::unique_ptr<hw::Imu> imu_;
   sim::ClockDomain* imu_domain_ = nullptr;

@@ -141,15 +141,14 @@ FrameState& PageManager::MutableFrame(mem::FrameId frame) {
   return frames_[frame];
 }
 
-std::vector<bool> PageManager::EvictableMask() const {
+void PageManager::EvictableMask(std::vector<bool>& mask) const {
   // Superpage tails are excluded: eviction always targets the head,
   // which releases the whole run.
-  std::vector<bool> mask(frames_.size());
+  mask.resize(frames_.size());
   for (mem::FrameId f = 0; f < frames_.size(); ++f) {
     mask[f] = frames_[f].in_use && !frames_[f].pinned &&
               !frames_[f].continuation;
   }
-  return mask;
 }
 
 std::vector<mem::FrameId> PageManager::InUseFrames() const {

@@ -108,8 +108,9 @@ class PageManager {
 
   const FrameState& frame(mem::FrameId frame) const;
 
-  /// Eviction candidates: in use and not pinned.
-  std::vector<bool> EvictableMask() const;
+  /// Eviction candidates: in use and not pinned. Fills `mask` (one
+  /// entry per frame), reusing its storage.
+  void EvictableMask(std::vector<bool>& mask) const;
 
   /// All in-use frames (for end-of-operation write-back sweeps).
   std::vector<mem::FrameId> InUseFrames() const;

@@ -37,6 +37,9 @@ Vcopd::~Vcopd() {
   vim.set_preempt_handler(nullptr);
   vim.set_tlb_tagging(true);
   RestoreKernelBinding();
+  // Preempted or never-finished jobs still own hardware whose domains
+  // live on in the kernel's simulator.
+  for (const std::unique_ptr<Job>& job : jobs_) ReleaseHardware(*job);
 }
 
 Result<TenantId> Vcopd::RegisterTenant(std::string name, u32 weight) {
@@ -423,17 +426,17 @@ Result<Picoseconds> Vcopd::SwitchDesign(Job& job) {
     stats_.total_config_time += got.time;
     ++job.result.reconfigurations;
     job.result.config_time += got.time;
-    kernel_.timeline().Record(
-        StrFormat("vcopd configure %s", job.bitstream.name.c_str()),
-        "config", kernel_.simulator().now(), got.time, /*track=*/3);
+    kernel_.timeline().Record(TimelineKind::kVcopdConfigure, /*track=*/3,
+                              kernel_.simulator().now(), got.time, 0, 0,
+                              job.bitstream.name);
   } else if (got.activated) {
     ++stats_.slot_activations;
     stats_.total_activation_time += got.time;
     ++job.result.slot_activations;
     job.result.config_time += got.time;
-    kernel_.timeline().Record(
-        StrFormat("vcopd activate %s", job.bitstream.name.c_str()),
-        "config", kernel_.simulator().now(), got.time, /*track=*/3);
+    kernel_.timeline().Record(TimelineKind::kVcopdActivate, /*track=*/3,
+                              kernel_.simulator().now(), got.time, 0, 0,
+                              job.bitstream.name);
   }
   return got.time;
 }
@@ -530,6 +533,7 @@ Status Vcopd::RunSlice(Tenant& tenant) {
   vim.set_progress_probe([slice_core]() -> u64 {
     return slice_core != nullptr ? slice_core->cycles_run() : 0;
   });
+  ReleaseSpentHardware();
 
   bool done = false;
   Status failure = Status::Ok();
@@ -583,10 +587,9 @@ Status Vcopd::RunSlice(Tenant& tenant) {
     hw::Coprocessor* core = job->core.get();
     sim::ClockDomain* cp = job->cp_domain;
     const u32 nparams = static_cast<u32>(job->params.size());
-    kernel_.timeline().Record(
-        StrFormat("vcopd dispatch pid%u %s", tenant.space->pid(),
-                  job->bitstream.name.c_str()),
-        "exec", dispatch_time, lead + setup.value(), /*track=*/3);
+    kernel_.timeline().Record(TimelineKind::kVcopdDispatch, /*track=*/3,
+                              dispatch_time, lead + setup.value(),
+                              tenant.space->pid(), 0, job->bitstream.name);
     sim.ScheduleAt(go, [imu, core, cp, nparams] {
       imu->AssertStart();
       core->Start(nparams);
@@ -599,10 +602,9 @@ Status Vcopd::RunSlice(Tenant& tenant) {
     const Picoseconds restore = vim.RestoreContext();
     const Picoseconds go = dispatch_time + lead + restore;
     slice_started_at_ = go;
-    kernel_.timeline().Record(
-        StrFormat("vcopd resume pid%u %s", tenant.space->pid(),
-                  job->bitstream.name.c_str()),
-        "exec", dispatch_time, lead + restore, /*track=*/3);
+    kernel_.timeline().Record(TimelineKind::kVcopdResume, /*track=*/3,
+                              dispatch_time, lead + restore,
+                              tenant.space->pid(), 0, job->bitstream.name);
     // The preempting fault is still latched in the IMU: re-enter its
     // service now that the context is back.
     Vim* vimp = &vim;
@@ -631,6 +633,7 @@ Status Vcopd::RunSlice(Tenant& tenant) {
     tail_cost += vim.FlushAsid(asid, /*write_back=*/false);
     done = true;
     slice_preempted_ = false;
+    job->keep_hardware = true;
   }
 
   if (slice_preempted_ && !done) {
@@ -690,17 +693,16 @@ void Vcopd::FinishJob(Tenant& tenant, Job& job, Status status) {
   if (job.imu != nullptr) report.imu = job.imu->stats();
   report.tlb = job.tlb_acc;
   if (job.core != nullptr) report.cp_cycles = job.core->cycles_run();
+  if (job.imu != nullptr && !job.keep_hardware) spent_.push_back(&job);
 
   if (r.status.ok()) {
     ++stats_.completed;
   } else {
     ++stats_.failed;
   }
-  kernel_.timeline().Record(
-      StrFormat("vcopd complete pid%u %s%s", tenant.space->pid(),
-                job.bitstream.name.c_str(),
-                r.status.ok() ? "" : " (failed)"),
-      "exec", r.finished_at, 0, /*track=*/3);
+  kernel_.timeline().Record(TimelineKind::kVcopdComplete, /*track=*/3,
+                            r.finished_at, 0, tenant.space->pid(),
+                            r.status.ok() ? 0 : 1, job.bitstream.name);
   if (job.on_complete) job.on_complete(r);
 }
 
@@ -712,6 +714,23 @@ void Vcopd::RestoreKernelBinding() {
     hw::Coprocessor* core = kernel->fabric().coprocessor();
     return core != nullptr ? core->cycles_run() : 0;
   });
+  ReleaseSpentHardware();
+}
+
+void Vcopd::ReleaseSpentHardware() {
+  for (Job* job : spent_) ReleaseHardware(*job);
+  spent_.clear();
+}
+
+void Vcopd::ReleaseHardware(Job& job) {
+  if (job.imu == nullptr) return;
+  sim::Simulator& sim = kernel_.simulator();
+  sim.RetireClockDomain(*job.imu_domain);
+  sim.RetireClockDomain(*job.cp_domain);
+  job.imu_domain = nullptr;
+  job.cp_domain = nullptr;
+  job.imu.reset();
+  job.core.reset();
 }
 
 }  // namespace vcop::os

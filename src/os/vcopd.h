@@ -237,13 +237,17 @@ class Vcopd {
     std::function<void(const JobResult&)> on_complete;
     JobResult result;
 
-    // Per-job hardware, instantiated at first dispatch and kept alive
-    // for the daemon's lifetime (clock domains hold raw module
-    // pointers; dormant domains cost nothing).
+    // Per-job hardware, instantiated at first dispatch and released
+    // (domains retired, modules freed) once the job has finished and
+    // the VIM is bound to other hardware (ReleaseSpentHardware).
     std::unique_ptr<hw::Coprocessor> core;
     std::unique_ptr<hw::Imu> imu;
     sim::ClockDomain* imu_domain = nullptr;
     sim::ClockDomain* cp_domain = nullptr;
+    /// Set when the run stopped on the event budget with events still
+    /// queued that may use this hardware: it is then kept until the
+    /// daemon is destroyed.
+    bool keep_hardware = false;
 
     /// Shared-TLB statistics attributed to this job, accumulated as
     /// deltas over the monotonic counters between slice start/end.
@@ -298,6 +302,11 @@ class Vcopd {
   /// hang or non-convergence abort.
   void Quarantine(Tenant& tenant);
   void FinishJob(Tenant& tenant, Job& job, Status status);
+  /// Frees the hardware of jobs finished since the last call. Only
+  /// safe once the VIM no longer points at it: after RunSlice binds
+  /// the next job, or after RestoreKernelBinding.
+  void ReleaseSpentHardware();
+  void ReleaseHardware(Job& job);
   /// Points the VIM back at the kernel's default space / IMU so the
   /// blocking single-tenant path keeps working after the daemon idles.
   void RestoreKernelBinding();
@@ -308,6 +317,7 @@ class Vcopd {
 
   std::vector<std::unique_ptr<Tenant>> tenants_;
   std::vector<std::unique_ptr<Job>> jobs_;  // every job ever submitted
+  std::vector<Job*> spent_;  // finished, hardware not yet released
   Ticket next_ticket_ = 0;
   u32 next_pid_ = 2;  // pid 1 is the kernel's default space
   u32 hardware_count_ = 0;

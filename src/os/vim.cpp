@@ -240,7 +240,8 @@ Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params,
     if (!frame.has_value() && scope == ResetScope::kAsidScoped) {
       // Other tenants hold every frame: evict a victim for the
       // parameter page (charged to this tenant's setup).
-      const std::vector<bool> evictable = pages_.EvictableMask();
+      std::vector<bool>& evictable = evictable_;
+      pages_.EvictableMask(evictable);
       bool any = false;
       for (const bool e : evictable) any = any || e;
       if (!any) {
@@ -362,9 +363,8 @@ void Vim::OnPageFault() {
     if (space_->aborted) return;  // write-back failed mid-save
     ++acct().preemptions;
     if (timeline_ != nullptr) {
-      timeline_->Record(
-          StrFormat("preempt pid%u obj%u", space_->pid(), oid), "preempt",
-          sim_.now(), imu_cost + save, /*track=*/3);
+      timeline_->Record(TimelineKind::kPreempt, /*track=*/3, sim_.now(),
+                        imu_cost + save, space_->pid(), oid);
     }
     if (on_preempt_) on_preempt_(imu_cost + save);
     return;
@@ -455,9 +455,8 @@ void Vim::OnPageFault() {
   acct().t_dp += dp_cost;
   acct().fault_service_us.Add(ToMicroseconds(imu_cost + dp_cost));
   if (timeline_ != nullptr) {
-    timeline_->Record(
-        StrFormat("fault obj%u page%u", oid, vpage), "fault", sim_.now(),
-        imu_cost + dp_cost, /*track=*/0);
+    timeline_->Record(TimelineKind::kFault, /*track=*/0, sim_.now(),
+                      imu_cost + dp_cost, oid, vpage);
   }
 
   fault_service_pending_ = true;
@@ -486,7 +485,8 @@ void Vim::ScheduleOverlappedPrefetch(const MappedObject& object,
     frame = AllocFrame();
   }
   if (!frame.has_value()) {
-    std::vector<bool> evictable = pages_.EvictableMask();
+    std::vector<bool>& evictable = evictable_;
+    pages_.EvictableMask(evictable);
     for (mem::FrameId f = 0; f < evictable.size(); ++f) {
       if (!evictable[f]) continue;
       if (FrameDirty(f) || (f < hot_frames_.size() && hot_frames_[f])) {
@@ -530,9 +530,8 @@ void Vim::ScheduleOverlappedPrefetch(const MappedObject& object,
   ++acct().prefetched_pages;
   ++service_stats_.prefetch_issued;
   if (timeline_ != nullptr) {
-    timeline_->Record(
-        StrFormat("prefetch obj%u page%u", object.id, vpage), "overlap",
-        tail - unit_cost, unit_cost, /*track=*/2);
+    timeline_->Record(TimelineKind::kPrefetch, /*track=*/2,
+                      tail - unit_cost, unit_cost, object.id, vpage);
   }
 
   const u64 epoch = epoch_;
@@ -666,7 +665,8 @@ Vim::MapOutcome Vim::EnsureMapped(const MappedObject& object,
     frame = AllocFrame();
   }
   if (!frame.has_value()) {
-    std::vector<bool> evictable = pages_.EvictableMask();
+    std::vector<bool>& evictable = evictable_;
+    pages_.EvictableMask(evictable);
     if (prefetch) {
       // Never pay a write-back for speculation, and never displace a
       // page the coprocessor is actively using: only clean, cold
@@ -868,9 +868,8 @@ void Vim::ScheduleBackgroundCleaning(Picoseconds& tail) {
     acct().t_dp_overlapped += unit_cost;
     --budget;
     if (timeline_ != nullptr) {
-      timeline_->Record(
-          StrFormat("clean obj%u page%u", state.object, state.vpage),
-          "overlap", tail - unit_cost, unit_cost, /*track=*/2);
+      timeline_->Record(TimelineKind::kClean, /*track=*/2, tail - unit_cost,
+                        unit_cost, state.object, state.vpage);
     }
 
     const u64 epoch = epoch_;
@@ -912,7 +911,8 @@ void Vim::ScheduleBackgroundCleaning(Picoseconds& tail) {
 
 void Vim::HarvestRecency() {
   hot_frames_.assign(geometry_.num_frames(), false);
-  for (const mem::FrameId f : imu_->tlb().HarvestAccessed()) {
+  imu_->tlb().HarvestAccessed(harvested_);
+  for (const mem::FrameId f : harvested_) {
     policy_->OnTouched(f);
     NoteSpeculativeTouch(f);
     if (f < hot_frames_.size()) hot_frames_[f] = true;
@@ -922,7 +922,8 @@ void Vim::HarvestRecency() {
   // bits are part of the recency picture (in single-level mode L2() is
   // null and this is a no-op).
   if (hw::Tlb* l2 = L2(); l2 != nullptr) {
-    for (const mem::FrameId f : l2->HarvestAccessed()) {
+    l2->HarvestAccessed(harvested_);
+    for (const mem::FrameId f : harvested_) {
       policy_->OnTouched(f);
       NoteSpeculativeTouch(f);
       if (f < hot_frames_.size()) hot_frames_[f] = true;
@@ -1139,8 +1140,8 @@ void Vim::OnEndOfOperation() {
   acct().t_dp += dp_cost;
   acct().t_wakeup += wake;
   if (timeline_ != nullptr) {
-    timeline_->Record("end-of-operation sweep", "transfer", sim_.now(),
-                      imu_cost + dp_cost + wake, /*track=*/0);
+    timeline_->Record(TimelineKind::kSweep, /*track=*/0, sim_.now(),
+                      imu_cost + dp_cost + wake);
   }
 
   sim_.ScheduleAt(sim_.now() + imu_cost + dp_cost + wake, [this] {
@@ -1349,7 +1350,8 @@ Picoseconds Vim::RestoreContext() {
   if (space_->params_live && !space_->param_frame.has_value()) {
     std::optional<mem::FrameId> frame = AllocFrame();
     if (!frame.has_value()) {
-      const std::vector<bool> evictable = pages_.EvictableMask();
+      std::vector<bool>& evictable = evictable_;
+      pages_.EvictableMask(evictable);
       bool any = false;
       for (const bool e : evictable) any = any || e;
       VCOP_CHECK_MSG(any, "no frame available to restore the parameter "

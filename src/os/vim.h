@@ -615,6 +615,9 @@ class Vim {
   /// Frames the coprocessor touched since the previous fault
   /// (refreshed by HarvestRecency); speculation never evicts them.
   std::vector<bool> hot_frames_;
+  // Per-fault scratch, kept so the fault path does not allocate.
+  std::vector<bool> evictable_;            // PageManager::EvictableMask
+  std::vector<mem::FrameId> harvested_;    // Tlb::HarvestAccessed
 
   /// Per-frame deferred-dirty ledger (lazy_writeback). A mark is live
   /// only while the frame still holds the same install generation for

@@ -70,7 +70,7 @@ void DirectPort::Issue(const hw::CpAccess& access) {
   outstanding_ = true;
   // Single-cycle memory: data valid at the core's next rising edge.
   VCOP_CHECK_MSG(cp_domain_ != nullptr, "direct port clock not bound");
-  const Frequency f = cp_domain_->frequency();
+  const Frequency& f = cp_domain_->frequency();
   ready_at_ = f.EdgeTime(f.CyclesAt(sim_.now()) + 1);
   sim::ClockDomain* cp = cp_domain_;
   sim_.ScheduleAt(ready_at_, [cp] { cp->Kick(); });

@@ -19,8 +19,15 @@ void ClockDomain::Attach(ClockedModule& module) {
 
 void ClockDomain::Kick() { KickAt(sim_.now()); }
 
+void ClockDomain::Retire() {
+  retired_ = true;
+  modules_.clear();
+  demands_.clear();
+}
+
 void ClockDomain::KickAt(Picoseconds t) {
   VCOP_CHECK_MSG(t >= sim_.now(), "KickAt in the past");
+  if (retired_) return;
   // Fast idempotent return for the dominant call pattern: a kick at the
   // current time while an event is already pending at or before it (a
   // same-timestamp event still in the queue). Edge times strictly
@@ -33,8 +40,11 @@ void ClockDomain::KickAt(Picoseconds t) {
   if (!sim_.tuning().batch_edges && t > sim_.now()) {
     // Reference engine: a future wake goes through a trampoline event
     // that kicks at its deadline, exactly like the seed kernel did.
-    sim_.queue().ScheduleAt(t, EventQueue::kDefaultPriority,
-                            [this] { Kick(); });
+    ++queued_;
+    sim_.queue().ScheduleAt(t, EventQueue::kDefaultPriority, [this] {
+      --queued_;
+      Kick();
+    });
     return;
   }
   const u64 candidate = FirstEdgeAtOrAfter(t);
@@ -97,8 +107,7 @@ u64 ClockDomain::FirstEdgeAtOrAfter(Picoseconds t) const {
   // exactly at `t` is allowed if it has not elapsed yet — that is the
   // `next_edge_` lower bound.)
   if (t != grid_memo_t_) {
-    const u64 at = freq_.CyclesAt(t);
-    grid_memo_edge_ = freq_.EdgeTime(at) == t ? at : at + 1;
+    grid_memo_edge_ = freq_.FirstEdgeAtOrAfter(t);
     grid_memo_t_ = t;
   }
   return std::max(grid_memo_edge_, next_edge_);
@@ -139,13 +148,16 @@ void ClockDomain::ScheduleTick(u64 edge, Picoseconds edge_time) {
   pending_time_ = edge_time;
   ++token_;
   scheduled_ = true;
+  ++queued_;
   const u64 token = token_;
   sim_.queue().ScheduleAt(edge_time, priority_,
                           [this, token] { TickEvent(token); });
 }
 
 void ClockDomain::TickEvent(u64 token) {
+  --queued_;
   if (token != token_) return;  // superseded by a pull-earlier reschedule
+  if (retired_) return;
   scheduled_ = false;
   in_tick_ = true;
   if (pending_is_resume_) {

@@ -73,7 +73,8 @@ class ClockDomain {
  public:
   /// Constructed via Simulator::AddClockDomain. `priority` orders
   /// coincident edges across domains (lower ticks first; the Simulator
-  /// assigns creation order).
+  /// assigns the lowest priority no other domain holds, which is
+  /// creation order while nothing has been retired).
   ClockDomain(Simulator& sim, std::string name, Frequency freq,
               u32 priority);
 
@@ -97,7 +98,13 @@ class ClockDomain {
   void KickAt(Picoseconds t);
 
   const std::string& name() const { return name_; }
-  Frequency frequency() const { return freq_; }
+  /// Retired (Simulator::RetireClockDomain): modules detached, kicks
+  /// ignored, queued edge events dispatch as no-ops.
+  bool retired() const { return retired_; }
+  /// This domain's events still in the simulator's queue (including
+  /// superseded ones); a retired domain is freed once this reaches 0.
+  u32 queued_events() const { return queued_; }
+  const Frequency& frequency() const { return freq_; }
   u32 priority() const { return priority_; }
 
   /// Number of rising edges elapsed while running (batched/skipped
@@ -114,6 +121,9 @@ class ClockDomain {
   Picoseconds NextEdgeTimeAfterNow() const;
 
  private:
+  friend class Simulator;
+  void Retire();
+
   /// Earliest not-yet-elapsed grid edge at or after time `t`.
   u64 FirstEdgeAtOrAfter(Picoseconds t) const;
 
@@ -139,6 +149,8 @@ class ClockDomain {
   u64 token_ = 0;         // invalidates superseded edge events
   bool scheduled_ = false;
   bool in_tick_ = false;  // TickEvent loop is on the call stack
+  bool retired_ = false;
+  u32 queued_ = 0;        // events capturing `this` still queued
   // The pending event resumes the domain from dormancy: the edges slept
   // through until it fires never happen (no tick, no credit), and an
   // earlier kick arriving first may still pull the resume point back.

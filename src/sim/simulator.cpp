@@ -1,12 +1,34 @@
 #include "sim/simulator.h"
 
+#include <bitset>
+
 namespace vcop::sim {
 
 ClockDomain& Simulator::AddClockDomain(std::string name, Frequency freq) {
-  const u32 priority = static_cast<u32>(domains_.size());
+  FreeRetiredDomains();
+  // Lowest priority no live domain holds. Every held priority is below
+  // kDefaultPriority (checked below), so a stack bitset covers them all.
+  std::bitset<EventQueue::kDefaultPriority> taken;
+  for (const auto& d : domains_) taken.set(d->priority());
+  u32 priority = 0;
+  while (priority < taken.size() && taken.test(priority)) ++priority;
+  VCOP_CHECK_MSG(priority < EventQueue::kDefaultPriority,
+                 "too many live clock domains: edge priorities would reach "
+                 "the plain-event priority");
   domains_.push_back(
       std::make_unique<ClockDomain>(*this, std::move(name), freq, priority));
   return *domains_.back();
+}
+
+void Simulator::RetireClockDomain(ClockDomain& domain) {
+  domain.Retire();
+  FreeRetiredDomains();
+}
+
+void Simulator::FreeRetiredDomains() {
+  std::erase_if(domains_, [](const std::unique_ptr<ClockDomain>& d) {
+    return d->retired() && d->queued_events() == 0;
+  });
 }
 
 bool Simulator::RunUntil(const std::function<bool()>& predicate,

@@ -54,10 +54,24 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  /// Creates a clock domain ticking at `freq`. Domains created earlier
-  /// dispatch first on coincident edges (see EventQueue ordering) —
-  /// create the IMU's domain before the coprocessor's.
+  /// Creates a clock domain ticking at `freq`. Coincident edges
+  /// dispatch in priority order (see EventQueue ordering). The new
+  /// domain takes the lowest priority no other domain holds, so
+  /// priorities stay below EventQueue::kDefaultPriority (plain events
+  /// run after every edge at the same timestamp) however many domains
+  /// come and go, and of two domains created back to back the first
+  /// dispatches first — create the IMU's domain before the
+  /// coprocessor's.
   ClockDomain& AddClockDomain(std::string name, Frequency freq);
+
+  /// Detaches `domain`'s modules (which may then be destroyed) and
+  /// frees it, with its priority, once none of its events is queued.
+  /// The reference must not be used afterwards.
+  void RetireClockDomain(ClockDomain& domain);
+
+  /// Domains not yet freed, including retired ones whose events are
+  /// still queued.
+  usize clock_domain_count() const { return domains_.size(); }
 
   /// Schedules a one-shot action at absolute time `t` (>= now()).
   void ScheduleAt(Picoseconds t, EventQueue::Action action) {
@@ -139,6 +153,9 @@ class Simulator {
  private:
   static constexpr Picoseconds kNoHorizon =
       std::numeric_limits<Picoseconds>::max();
+
+  /// Frees retired domains that no queued event refers to any more.
+  void FreeRetiredDomains();
 
   EventQueue queue_;
   std::vector<std::unique_ptr<ClockDomain>> domains_;

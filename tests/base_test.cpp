@@ -144,6 +144,32 @@ TEST(UnitsTest, CyclesAtInvertsEdgeTime) {
   }
 }
 
+TEST(UnitsTest, GridQueriesMatchTheirDefinitionsAroundEveryEdge) {
+  // CyclesAt(t) is the largest k with EdgeTime(k) <= t and
+  // FirstEdgeAtOrAfter(t) the smallest k with EdgeTime(k) >= t, on the
+  // fast path (small t) and the 128-bit path (t near 2^64).
+  for (const u64 hz : {6'000'000ULL, 24'000'000ULL, 40'000'000ULL,
+                       133'000'000ULL, 33'333'333ULL, 1'000'000'007ULL,
+                       7ULL}) {
+    const Frequency f(hz);
+    const u64 far = f.CyclesAt(~0ULL) - 50;
+    for (const u64 base : std::initializer_list<u64>{0, 1'000'000, far}) {
+      for (u64 k = base; k < base + 40; ++k) {
+        const Picoseconds edge = f.EdgeTime(k);
+        const Picoseconds next = f.EdgeTime(k + 1);
+        for (const Picoseconds t : {edge, edge + 1, next - 1}) {
+          if (t < edge || t >= next) continue;
+          EXPECT_EQ(f.CyclesAt(t), k) << hz << " Hz, t=" << t;
+        }
+        EXPECT_EQ(f.FirstEdgeAtOrAfter(edge), k) << hz << " Hz";
+        if (next - edge > 1) {
+          EXPECT_EQ(f.FirstEdgeAtOrAfter(edge + 1), k + 1) << hz << " Hz";
+        }
+      }
+    }
+  }
+}
+
 TEST(UnitsTest, FourToOneClockRatioAligns) {
   // The IDEA platform: 24 MHz IMU, 6 MHz core — every 4th IMU edge
   // coincides exactly with a core edge.
@@ -229,6 +255,28 @@ TEST(LogTest, SinkReceivesEnabledLevelsOnly) {
   ASSERT_EQ(captured.size(), 2u);
   EXPECT_EQ(captured[0], "INFO:shown");
   EXPECT_EQ(captured[1], "ERROR:loud");
+}
+
+TEST(LogTest, DisabledLevelDoesNotEvaluateItsMessage) {
+  int evaluated = 0;
+  const auto message = [&evaluated] {
+    ++evaluated;
+    return std::string("formatted");
+  };
+  ASSERT_EQ(Logger::Get().min_level(), LogLevel::kWarning);
+  VCOP_LOG(kDebug, message());
+  VCOP_LOG(kInfo, message());
+  EXPECT_EQ(evaluated, 0);
+
+  std::vector<std::string> captured;
+  Logger::Get().set_sink([&](LogLevel, std::string_view msg) {
+    captured.emplace_back(msg);
+  });
+  VCOP_LOG(kWarning, message());
+  Logger::Get().set_sink(nullptr);
+  EXPECT_EQ(evaluated, 1);
+  ASSERT_EQ(captured.size(), 1u);
+  EXPECT_EQ(captured[0], "formatted");
 }
 
 // ----- table -----

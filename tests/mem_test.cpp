@@ -119,6 +119,26 @@ TEST(UserMemoryTest, ContainsTracksRegions) {
   EXPECT_FALSE(mem.Contains(a.value(), 65));
 }
 
+TEST(UserMemoryTest, ContainsAcrossManyRegionsAndAReclaimedHole) {
+  UserMemory mem(1 << 16);
+  std::vector<UserAddr> bases;
+  for (u32 i = 0; i < 9; ++i) {
+    auto r = mem.Allocate(20);  // 16-byte alignment leaves 12-byte gaps
+    ASSERT_TRUE(r.ok());
+    bases.push_back(r.value());
+  }
+  ASSERT_TRUE(mem.Reclaim(bases[4]).ok());
+  for (u32 i = 0; i < bases.size(); ++i) {
+    const bool live = i != 4;
+    EXPECT_EQ(mem.Contains(bases[i], 20), live) << i;
+    EXPECT_EQ(mem.Contains(bases[i] + 19, 1), live) << i;
+    EXPECT_FALSE(mem.Contains(bases[i] + 20, 1)) << i;  // the gap
+    EXPECT_FALSE(mem.Contains(bases[i], 21)) << i;      // spans the gap
+  }
+  EXPECT_FALSE(mem.Contains(bases.front() - 1, 1));
+  EXPECT_FALSE(mem.Contains(bases.back() + 64, 1));
+}
+
 TEST(UserMemoryTest, ReadWriteRoundTrip) {
   UserMemory mem(1 << 16);
   auto a = mem.Allocate(16);

@@ -196,12 +196,15 @@ TEST(PageManagerTest, PinnedFramesNotEvictable) {
   PageManager pm(mem::PageGeometry(1024, 3));
   pm.Install(0, 1, 0, /*pinned=*/true);
   pm.Install(1, 1, 1);
-  const std::vector<bool> mask = pm.EvictableMask();
+  std::vector<bool> mask;
+  pm.EvictableMask(mask);
+  ASSERT_EQ(mask.size(), 3u);
   EXPECT_FALSE(mask[0]);
   EXPECT_TRUE(mask[1]);
   EXPECT_FALSE(mask[2]);  // free, not evictable
   pm.Unpin(0);
-  EXPECT_TRUE(pm.EvictableMask()[0]);
+  pm.EvictableMask(mask);
+  EXPECT_TRUE(mask[0]);
 }
 
 TEST(PageManagerTest, DirtyTracking) {

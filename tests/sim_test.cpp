@@ -173,6 +173,47 @@ TEST(ClockDomainTest, CoincidentEdgesOrderedByCreation) {
   EXPECT_EQ(log[6], "cp");
 }
 
+TEST(ClockDomainTest, RetiredDomainIsFreedOnceItsEventsDrain) {
+  Simulator sim;
+  ClockDomain& keep = sim.AddClockDomain("keep", Frequency::MHz(100));
+  ClockDomain& old = sim.AddClockDomain("old", Frequency::MHz(100));
+  ASSERT_EQ(keep.priority(), 0u);
+  ASSERT_EQ(old.priority(), 1u);
+  {
+    CountingModule mod(1000);
+    old.Attach(mod);  // schedules its first edge
+    ASSERT_EQ(old.queued_events(), 1u);
+    sim.RetireClockDomain(old);  // the module may now be destroyed
+  }
+  // Still queued: the domain lives on (detached) until the event runs.
+  EXPECT_EQ(sim.clock_domain_count(), 2u);
+  ASSERT_TRUE(sim.RunToIdle());
+  EXPECT_EQ(sim.events_dispatched(), 1u);  // the no-op edge, no re-arm
+
+  // The next domain frees the drained one and reuses its priority.
+  ClockDomain& next = sim.AddClockDomain("next", Frequency::MHz(100));
+  EXPECT_EQ(sim.clock_domain_count(), 2u);
+  EXPECT_EQ(next.priority(), 1u);
+  CountingModule mod(3);
+  next.Attach(mod);
+  ASSERT_TRUE(sim.RunToIdle());
+  EXPECT_EQ(mod.ticks(), 3u);
+}
+
+TEST(ClockDomainTest, PrioritiesStayBoundedAcrossManyGenerations) {
+  Simulator sim;
+  sim.AddClockDomain("resident", Frequency::MHz(40));
+  for (u32 i = 0; i < 2000; ++i) {
+    ClockDomain& imu = sim.AddClockDomain("imu", Frequency::MHz(24));
+    ClockDomain& cp = sim.AddClockDomain("cp", Frequency::MHz(6));
+    ASSERT_LT(imu.priority(), cp.priority());  // IMU ticks first
+    ASSERT_LT(cp.priority(), 3u);
+    sim.RetireClockDomain(imu);
+    sim.RetireClockDomain(cp);
+  }
+  EXPECT_EQ(sim.clock_domain_count(), 1u);
+}
+
 TEST(SimulatorTest, RunUntilPredicate) {
   Simulator sim;
   int count = 0;

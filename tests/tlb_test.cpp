@@ -72,10 +72,12 @@ TEST(TlbTest, AccessedBitsHarvest) {
   // Touch entries 0 and 2 via lookups.
   ASSERT_TRUE(tlb.Lookup(1, 0).has_value());
   ASSERT_TRUE(tlb.Lookup(1, 2).has_value());
-  const std::vector<mem::FrameId> touched = tlb.HarvestAccessed();
+  std::vector<mem::FrameId> touched{99};  // replaced, not appended to
+  tlb.HarvestAccessed(touched);
   EXPECT_EQ(touched, (std::vector<mem::FrameId>{5, 7}));
   // Bits cleared: a second harvest is empty.
-  EXPECT_TRUE(tlb.HarvestAccessed().empty());
+  tlb.HarvestAccessed(touched);
+  EXPECT_TRUE(touched.empty());
 }
 
 TEST(TlbTest, FindByFrameAndFindFree) {

@@ -493,6 +493,38 @@ TEST(VcopdTest, KernelBlockingPathStillWorksAfterDaemonIdles) {
   EXPECT_EQ(c.ToVector(), std::vector<u32>(128, 7));
 }
 
+/// Each job gets its own IMU, core and two clock domains. They are
+/// released once the job is done, so a long-running daemon keeps a
+/// bounded set of domains and every edge priority stays below that of
+/// plain events (EventQueue::kDefaultPriority = 1000, reached after 499
+/// jobs when domains were never freed).
+TEST(VcopdTest, SixHundredJobsKeepClockDomainsBounded) {
+  FpgaSystem sys(TestConfig());
+  Vcopd daemon(sys.kernel());
+  VecAddJob x = StageVecAdd(sys, daemon, "x", 64, 1);
+  VecAddJob y = StageVecAdd(sys, daemon, "y", 96, 2);
+  VcopdClient cx(daemon, x.tenant);
+  VcopdClient cy(daemon, y.tenant);
+  const sim::Simulator& sim = sys.kernel().simulator();
+  const usize before = sim.clock_domain_count();
+  usize peak = before;
+  for (u32 i = 0; i < 300; ++i) {
+    x.c.Fill(std::vector<u32>(64, 0));
+    y.c.Fill(std::vector<u32>(96, 0));
+    const Ticket tx = cx.Submit(cp::VecAddBitstream(), {64u}).value();
+    const Ticket ty = cy.Submit(cp::VecAddBitstream(), {96u}).value();
+    const Result<JobResult> rx = cx.Wait(tx);
+    const Result<JobResult> ry = cy.Wait(ty);
+    ASSERT_TRUE(rx.ok() && rx.value().status.ok()) << i;
+    ASSERT_TRUE(ry.ok() && ry.value().status.ok()) << i;
+    ASSERT_EQ(x.c.ToVector(), x.expect) << i;
+    ASSERT_EQ(y.c.ToVector(), y.expect) << i;
+    peak = std::max(peak, sim.clock_domain_count());
+  }
+  EXPECT_EQ(daemon.stats().completed, 600u);
+  EXPECT_LE(peak, before + 4);
+}
+
 // ----- reconfiguration-aware serving (DESIGN.md §15) -----
 
 KernelConfig SlottedConfig(u32 slots) {
