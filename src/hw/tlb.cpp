@@ -108,6 +108,10 @@ void Tlb::ClearDirty(u32 index) {
 
 void Tlb::HarvestAccessed(std::vector<mem::FrameId>& touched) {
   touched.clear();
+  AppendAccessed(touched);
+}
+
+void Tlb::AppendAccessed(std::vector<mem::FrameId>& touched) {
   for (TlbEntry& e : entries_) {
     if (e.valid && e.accessed) {
       touched.push_back(e.frame);
@@ -196,6 +200,49 @@ u32 TlbHierarchy::InvalidateAsid(Asid asid) {
 void TlbHierarchy::InvalidateAll() {
   l1_->InvalidateAll();
   if (l2_ != nullptr) l2_->InvalidateAll();
+}
+
+TlbEntry TlbHierarchy::InvalidateFrame(mem::FrameId frame) {
+  TlbEntry merged;
+  for (Tlb* level : {l1_, l2_}) {
+    if (level == nullptr) continue;
+    if (const std::optional<u32> e = level->FindByFrame(frame)) {
+      const TlbEntry old = level->Invalidate(*e);
+      merged.valid = true;
+      merged.dirty = merged.dirty || old.dirty;
+      merged.accessed = merged.accessed || old.accessed;
+    }
+  }
+  return merged;
+}
+
+bool TlbHierarchy::FrameDirty(mem::FrameId frame) const {
+  for (const Tlb* level : {l1_, l2_}) {
+    if (level == nullptr) continue;
+    const std::optional<u32> e = level->FindByFrame(frame);
+    if (e.has_value() && level->entry(*e).dirty) return true;
+  }
+  return false;
+}
+
+void TlbHierarchy::ClearDirtyFrame(mem::FrameId frame) {
+  for (Tlb* level : {l1_, l2_}) {
+    if (level == nullptr) continue;
+    if (const std::optional<u32> e = level->FindByFrame(frame)) {
+      level->ClearDirty(*e);
+    }
+  }
+}
+
+void TlbHierarchy::HarvestAccessed(std::vector<mem::FrameId>& touched) {
+  l1_->HarvestAccessed(touched);
+  if (l2_ != nullptr) l2_->AppendAccessed(touched);
+}
+
+void TlbHierarchy::ResetStats() {
+  stats_ = TlbHierarchyStats{};
+  l1_->ResetStats();
+  if (l2_ != nullptr) l2_->ResetStats();
 }
 
 }  // namespace vcop::hw

@@ -128,6 +128,19 @@ class Tlb {
   /// reused instead of allocating one.
   void HarvestAccessed(std::vector<mem::FrameId>& touched);
 
+  /// HarvestAccessed without clearing `touched` first: the frames are
+  /// appended.
+  void AppendAccessed(std::vector<mem::FrameId>& touched);
+
+  /// Calls `fn(entry)` for every valid entry, or only for those tagged
+  /// `asid`, in index order.
+  template <typename Fn>
+  void ForEachValid(std::optional<Asid> asid, Fn&& fn) const {
+    for (const TlbEntry& e : entries_) {
+      if (e.valid && (!asid.has_value() || e.asid == *asid)) fn(e);
+    }
+  }
+
   /// Finds the valid entry mapping physical frame `frame`, if any.
   std::optional<u32> FindByFrame(mem::FrameId frame) const;
 
@@ -177,9 +190,10 @@ struct TlbHierarchyStats {
 /// hierarchy is a transparent pass-through to the single CAM — lookups
 /// delegate 1:1 and every statistic lands exactly where it always did.
 ///
-/// The hierarchy owns only the datapath (lookup + hardware fill). The OS
-/// keeps installing, sweeping and invalidating the individual levels
-/// through l1()/l2() — mirroring how the VIM already drives the CAM.
+/// The hierarchy owns the datapath (lookup + hardware fill) and the OS's
+/// whole-hierarchy operations: sweeps, per-frame invalidation and dirty
+/// bookkeeping walk both levels here. The OS reaches the levels
+/// individually only to install a translation.
 class TlbHierarchy {
  public:
   /// `l1` must be non-null; `l2` may be null (single-level mode).
@@ -212,6 +226,31 @@ class TlbHierarchy {
   /// Invalidates every entry in both levels.
   void InvalidateAll();
 
+  /// Calls `fn(entry, in_l2)` for every valid entry of both levels, L1
+  /// first: all of them, or only those tagged `asid`.
+  template <typename Fn>
+  void ForEachValid(std::optional<Asid> asid, Fn&& fn) const {
+    l1_->ForEachValid(asid, [&](const TlbEntry& e) { fn(e, false); });
+    if (l2_ == nullptr) return;
+    l2_->ForEachValid(asid, [&](const TlbEntry& e) { fn(e, true); });
+  }
+
+  /// Invalidates the entry mapping `frame` in each level and returns
+  /// their dirty and accessed bits OR-ed together (valid iff any level
+  /// held a mapping).
+  TlbEntry InvalidateFrame(mem::FrameId frame);
+
+  /// Whether the entry mapping `frame` is dirty in either level.
+  bool FrameDirty(mem::FrameId frame) const;
+
+  /// Clears the dirty bit of the entry mapping `frame` in each level
+  /// (the page was written back and stays mapped).
+  void ClearDirtyFrame(mem::FrameId frame);
+
+  /// Replaces `touched` with the frames accessed since the last harvest
+  /// in either level, L1's first, and clears their accessed bits.
+  void HarvestAccessed(std::vector<mem::FrameId>& touched);
+
   /// Called with a displaced L1 victim (as it was) when a fill evicts an
   /// entry that has no matching L2 twin, so the OS can fold its dirty
   /// bit into the page state before the mapping disappears.
@@ -220,7 +259,8 @@ class TlbHierarchy {
   }
 
   const TlbHierarchyStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = TlbHierarchyStats{}; }
+  /// Resets the fill counters and both levels' lookup statistics.
+  void ResetStats();
 
  private:
   Tlb* l1_;

@@ -151,23 +151,16 @@ void PageManager::EvictableMask(std::vector<bool>& mask) const {
   }
 }
 
-std::vector<mem::FrameId> PageManager::InUseFrames() const {
-  std::vector<mem::FrameId> out;
+void PageManager::InUseFrames(std::optional<hw::Asid> asid,
+                              std::vector<mem::FrameId>& out) const {
+  out.clear();
   for (mem::FrameId f = 0; f < frames_.size(); ++f) {
-    if (frames_[f].in_use && !frames_[f].continuation) out.push_back(f);
-  }
-  return out;
-}
-
-std::vector<mem::FrameId> PageManager::InUseFramesOf(hw::Asid asid) const {
-  std::vector<mem::FrameId> out;
-  for (mem::FrameId f = 0; f < frames_.size(); ++f) {
-    if (frames_[f].in_use && !frames_[f].continuation &&
-        frames_[f].asid == asid) {
+    const FrameState& s = frames_[f];
+    if (s.in_use && !s.continuation &&
+        (!asid.has_value() || s.asid == *asid)) {
       out.push_back(f);
     }
   }
-  return out;
 }
 
 }  // namespace vcop::os

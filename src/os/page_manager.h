@@ -112,12 +112,13 @@ class PageManager {
   /// entry per frame), reusing its storage.
   void EvictableMask(std::vector<bool>& mask) const;
 
-  /// All in-use frames (for end-of-operation write-back sweeps).
-  std::vector<mem::FrameId> InUseFrames() const;
-
-  /// In-use frames owned by `asid` (vcopd's scoped sweeps and context
-  /// save/restore only touch the attached tenant's frames).
-  std::vector<mem::FrameId> InUseFramesOf(hw::Asid asid) const;
+  /// Fills `out` with the in-use frames (superpage heads only) in
+  /// ascending order: all of them, or only those owned by `asid`
+  /// (vcopd's sweeps touch only one tenant's frames). `out` belongs to
+  /// the caller and keeps its storage, so the sweeps that run at every
+  /// job end and context switch do not allocate.
+  void InUseFrames(std::optional<hw::Asid> asid,
+                   std::vector<mem::FrameId>& out) const;
 
  private:
   FrameState& MutableFrame(mem::FrameId frame);

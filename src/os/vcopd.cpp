@@ -544,8 +544,6 @@ Status Vcopd::RunSlice(Tenant& tenant) {
   vim.set_abort_handler([&, job](Status status) {
     failure = std::move(status);
     job->core->Abort();
-    // An aborted run's partial results must never reach user memory.
-    tail_cost += kernel_.vim().FlushAsid(asid, /*write_back=*/false);
     done = true;
   });
   slice_preempted_ = false;
@@ -613,6 +611,12 @@ Status Vcopd::RunSlice(Tenant& tenant) {
 
   const bool converged =
       sim.RunUntil([&] { return done || slice_preempted_; });
+  // An aborted run's partial results must never reach user memory. The
+  // flush waits for the aborting service to return: it may be inside a
+  // VIM sweep, which must not be re-entered.
+  if (!failure.ok()) {
+    tail_cost += vim.FlushAsid(asid, /*write_back=*/false);
+  }
 
   // Attribute this slice's shared-TLB traffic to the job.
   const hw::TlbStats tlb_now = kernel_.shared_tlb().stats();

@@ -81,12 +81,7 @@ void Vim::BindImu(hw::Imu* imu) {
     ++service_stats_.hw_tlb_evict_merges;
   });
   imu_->set_param_release_hook([this] {
-    if (space_->param_frame.has_value()) {
-      pages_.Unpin(*space_->param_frame);
-      pages_.Release(*space_->param_frame);
-      policy_->OnFreed(*space_->param_frame);
-      space_->param_frame.reset();
-    }
+    ReleaseParamFrame();
     // The coprocessor gave the page up for good: a preempted run must
     // not re-materialise it at resume.
     space_->params_live = false;
@@ -186,13 +181,8 @@ Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params,
     pages_.Reset();
     policy_->Reset(geometry_.num_frames());
     prefetcher_->Reset();
-    imu_->tlb().InvalidateAll();
-    imu_->tlb().ResetStats();
-    if (hw::Tlb* l2 = L2(); l2 != nullptr) {
-      l2->InvalidateAll();
-      l2->ResetStats();
-      imu_->xlat().ResetStats();
-    }
+    imu_->xlat().InvalidateAll();
+    imu_->xlat().ResetStats();
     imu_->ResetStats();
     tlb_recycle_cursor_ = 0;
     l2_recycle_cursor_ = 0;
@@ -240,18 +230,13 @@ Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params,
     if (!frame.has_value() && scope == ResetScope::kAsidScoped) {
       // Other tenants hold every frame: evict a victim for the
       // parameter page (charged to this tenant's setup).
-      std::vector<bool>& evictable = evictable_;
-      pages_.EvictableMask(evictable);
-      bool any = false;
-      for (const bool e : evictable) any = any || e;
-      if (!any) {
+      Picoseconds evict_dp = 0;
+      Picoseconds evict_imu = 0;
+      frame = EvictVictim(/*cheap_only=*/false, evict_dp, evict_imu);
+      if (!frame.has_value()) {
         return ResourceExhaustedError(
             "no frame available for the parameter page (all pinned)");
       }
-      const mem::FrameId victim = policy_->PickVictim(evictable);
-      Picoseconds evict_dp = 0;
-      Picoseconds evict_imu = 0;
-      EvictFrame(victim, evict_dp, evict_imu);
       setup += evict_dp + evict_imu;
       if (space_->aborted || !last_transfer_failure_.ok()) {
         // The victim's write-back failed even after retries: no abort
@@ -262,7 +247,6 @@ Result<Picoseconds> Vim::PrepareExecution(std::span<const u32> params,
                    : UnavailableError("execution setup failed on a "
                                       "device fault");
       }
-      frame = victim;
     }
     VCOP_CHECK_MSG(frame.has_value(), "no frame free after reset");
     for (usize i = 0; i < params.size(); ++i) {
@@ -485,24 +469,12 @@ void Vim::ScheduleOverlappedPrefetch(const MappedObject& object,
     frame = AllocFrame();
   }
   if (!frame.has_value()) {
-    std::vector<bool>& evictable = evictable_;
-    pages_.EvictableMask(evictable);
-    for (mem::FrameId f = 0; f < evictable.size(); ++f) {
-      if (!evictable[f]) continue;
-      if (FrameDirty(f) || (f < hot_frames_.size() && hot_frames_[f])) {
-        evictable[f] = false;
-      }
-    }
-    bool any = false;
-    for (const bool e : evictable) any = any || e;
-    if (!any) return;  // nothing cheap to speculate into
-    const mem::FrameId victim = policy_->PickVictim(evictable);
     Picoseconds evict_dp = 0;
-    EvictFrame(victim, evict_dp, unit_cost);
+    frame = EvictVictim(/*cheap_only=*/true, evict_dp, unit_cost);
+    if (!frame.has_value()) return;  // nothing cheap to speculate into
     VCOP_CHECK_MSG(evict_dp == 0, "clean eviction must not write back");
-    frame = victim;
   }
-  pages_.Install(*frame, object.id, vpage, /*pinned=*/true, /*asid=*/0,
+  pages_.Install(*frame, object.id, vpage, /*pinned=*/true, space_->asid(),
                  span);
   pages_.MarkSpeculative(*frame);
   policy_->OnInstalled(*frame);
@@ -665,32 +637,14 @@ Vim::MapOutcome Vim::EnsureMapped(const MappedObject& object,
     frame = AllocFrame();
   }
   if (!frame.has_value()) {
-    std::vector<bool>& evictable = evictable_;
-    pages_.EvictableMask(evictable);
-    if (prefetch) {
-      // Never pay a write-back for speculation, and never displace a
-      // page the coprocessor is actively using: only clean, cold
-      // victims.
-      for (mem::FrameId f = 0; f < evictable.size(); ++f) {
-        if (!evictable[f]) continue;
-        if (FrameDirty(f) ||
-            (f < hot_frames_.size() && hot_frames_[f])) {
-          evictable[f] = false;
-        }
-      }
-    }
-    bool any = false;
-    for (const bool e : evictable) any = any || e;
-    if (!any) {
+    frame = EvictVictim(/*cheap_only=*/prefetch, dp_cost, imu_cost);
+    if (!frame.has_value()) {
       if (prefetch) return MapOutcome::kSkipped;
       Abort(ResourceExhaustedError(
           "no evictable interface page (all frames pinned)"));
       return MapOutcome::kAborted;
     }
-    const mem::FrameId victim = policy_->PickVictim(evictable);
-    EvictFrame(victim, dp_cost, imu_cost);
     if (space_->aborted) return MapOutcome::kAborted;
-    frame = victim;
   }
   if (!prefetch) ++acct().faults;
 
@@ -724,33 +678,45 @@ Vim::MapOutcome Vim::EnsureMapped(const MappedObject& object,
   return MapOutcome::kMapped;
 }
 
+std::optional<mem::FrameId> Vim::EvictVictim(bool cheap_only,
+                                             Picoseconds& dp_cost,
+                                             Picoseconds& imu_cost) {
+  std::vector<bool>& evictable = evictable_;
+  pages_.EvictableMask(evictable);
+  bool any = false;
+  for (mem::FrameId f = 0; f < evictable.size(); ++f) {
+    if (evictable[f] && cheap_only &&
+        (FrameDirty(f) || (f < hot_frames_.size() && hot_frames_[f]))) {
+      evictable[f] = false;
+    }
+    any = any || evictable[f];
+  }
+  if (!any) return std::nullopt;
+  const mem::FrameId victim = policy_->PickVictim(evictable);
+  EvictFrame(victim, dp_cost, imu_cost);
+  return victim;
+}
+
 void Vim::EvictFrame(mem::FrameId frame, Picoseconds& dp_cost,
                      Picoseconds& imu_cost) {
-  // Fold the live TLB entry's dirty bit into the page state first. The
+  // Fold the live TLB entries' dirty bits into the page state first. The
   // accessed/dirty bits also settle the speculation verdict for a
   // prefetched frame: referenced since the last harvest counts as a
   // useful guess.
-  if (const std::optional<u32> e = imu_->tlb().FindByFrame(frame)) {
-    const hw::TlbEntry old = imu_->tlb().Invalidate(*e);
-    if (old.dirty) pages_.MarkDirty(frame);
-    if (old.accessed || old.dirty) NoteSpeculativeTouch(frame);
-  }
-  if (hw::Tlb* l2 = L2(); l2 != nullptr) {
-    if (const std::optional<u32> e2 = l2->FindByFrame(frame)) {
-      const hw::TlbEntry old = l2->Invalidate(*e2);
-      if (old.dirty) pages_.MarkDirty(frame);
-      if (old.accessed || old.dirty) NoteSpeculativeTouch(frame);
-    }
-  }
+  const hw::TlbEntry live = imu_->xlat().InvalidateFrame(frame);
+  if (live.dirty) pages_.MarkDirty(frame);
+  if (live.accessed || live.dirty) NoteSpeculativeTouch(frame);
   if (config_.lazy_writeback && config_.coalesce_writeback &&
       DeferredMarked(frame)) {
     // The victim carries a deferred write-back: flush the owner's whole
     // deferred set in one scatter-gather burst while the bus is ours —
     // its other lazy pages would fault in here one by one otherwise.
     // The per-page path below then finds this frame clean (a failed or
-    // single-page burst leaves it for the per-page retried store).
-    CoalescedWriteback(pages_.InUseFramesOf(pages_.frame(frame).asid),
-                       dp_cost);
+    // single-page burst leaves it for the per-page retried store). The
+    // frame list is separate from the sweeps' because an untagged
+    // context save evicts from inside its sweep.
+    pages_.InUseFrames(pages_.frame(frame).asid, burst_frames_);
+    CoalescedWriteback(burst_frames_, dp_cost);
   }
   const FrameState state = pages_.frame(frame);
   AddressSpace* owner = ResolveSpace(state.asid);
@@ -758,45 +724,30 @@ void Vim::EvictFrame(mem::FrameId frame, Picoseconds& dp_cost,
   const MappedObject* object = owner->objects().Find(state.object);
   VCOP_CHECK_MSG(object != nullptr,
                  "evicting a frame of an unknown object");
-  if (state.dirty) {
-    if (object->direction == Direction::kIn) {
-      // The hint says the coprocessor only reads this object; honour it
-      // and drop the (buggy) writes, but record that it happened.
-      ++owner->accounting.dirty_in_pages_dropped;
-    } else {
-      // Write-back bookkeeping goes to the owning space (its data left
-      // the fabric); the transfer time extends the *current* service.
-      const u32 len = PageLength(*object, state.vpage);
-      const mem::TransferResult r = StorePageRetried(
-          state.asid, geometry_.FrameBase(frame),
-          PageUserAddr(*object, state.vpage), len);
-      dp_cost += r.time;
-      if (r.bus_error) {
-        // The dirty page cannot leave the fabric: its data would be
-        // lost, so the run must fail (callers notice space_->aborted,
-        // PrepareExecution notices last_transfer_failure_).
-        if (!space_->aborted) Abort(last_transfer_failure_);
-        pages_.Release(frame);
-        policy_->OnFreed(frame);
-        ++acct().evictions;
-        return;
-      }
-      ++owner->accounting.writebacks;
-      owner->accounting.bytes_written_back += len;
-      owner->written_back.insert({state.object, state.vpage});
-      SettleDeferredFlush(frame);
-      // The write-back just synchronised the frame with user memory, so
-      // the evicted copy is a valid victim.
-      RecordVictim(pages_.frame(frame), frame);
+  // A clean frame already matches what a reload would produce (or, for a
+  // never-written OUT page, is as undefined as a reload); a written-back
+  // one was just synchronised. Either is a valid victim.
+  bool intact = !state.dirty;
+  if (state.dirty && object->direction == Direction::kIn) {
+    // The hint says the coprocessor only reads this object; honour it
+    // and drop the (buggy) writes, but record that it happened.
+    ++owner->accounting.dirty_in_pages_dropped;
+  } else if (state.dirty) {
+    // Write-back bookkeeping goes to the owning space (its data left
+    // the fabric); the transfer time extends the *current* service.
+    intact = WriteBack(frame, *owner, *object, /*record=*/true, dp_cost);
+    if (!intact) {
+      // The dirty page cannot leave the fabric: its data would be
+      // lost, so the run must fail (callers notice space_->aborted,
+      // PrepareExecution notices last_transfer_failure_).
+      if (!space_->aborted) Abort(last_transfer_failure_);
+      ReleaseFrame(frame);
+      ++acct().evictions;
+      return;
     }
-  } else {
-    // Clean page: the frame already matches what a reload would produce
-    // (or, for a never-written OUT page, is as undefined as a reload).
-    RecordVictim(state, frame);
   }
-  SettleSpeculativeRelease(pages_.frame(frame));
-  pages_.Release(frame);
-  policy_->OnFreed(frame);
+  if (intact) RecordVictim(state, frame);
+  ReleaseFrame(frame);
   ++acct().evictions;
   imu_cost += costs_.Cycles(costs_.page_table_cycles);
 }
@@ -847,7 +798,8 @@ void Vim::ScheduleBackgroundCleaning(Picoseconds& tail) {
   // Budget per fault service: a couple of pages, so a burst of dirty
   // pages cannot starve fault handling behind a long copy queue.
   u32 budget = 2;
-  for (const mem::FrameId f : pages_.InUseFrames()) {
+  pages_.InUseFrames(space_->asid(), sweep_frames_);
+  for (const mem::FrameId f : sweep_frames_) {
     if (budget == 0) break;
     const FrameState state = pages_.frame(f);
     if (state.pinned) continue;
@@ -889,20 +841,10 @@ void Vim::ScheduleBackgroundCleaning(Picoseconds& tail) {
           now_state.object != oid || now_state.vpage != vpage) {
         return;
       }
-      std::vector<u8> buf(len);
       dp_ram_.Read(mem::DualPortRam::Port::kProcessor,
-                   geometry_.FrameBase(f), buf);
-      user_memory_.WriteBytes(dst, buf);
+                   geometry_.FrameBase(f), user_memory_.View(dst, len));
       space_->written_back.insert({oid, vpage});
-      pages_.ClearDirty(f);
-      if (const std::optional<u32> entry = imu_->tlb().FindByFrame(f)) {
-        imu_->tlb().ClearDirty(*entry);
-      }
-      if (hw::Tlb* l2 = L2(); l2 != nullptr) {
-        if (const std::optional<u32> entry = l2->FindByFrame(f)) {
-          l2->ClearDirty(*entry);
-        }
-      }
+      MarkClean(f);
       ++acct().cleaned_pages;
       acct().bytes_written_back += len;
     });
@@ -911,35 +853,19 @@ void Vim::ScheduleBackgroundCleaning(Picoseconds& tail) {
 
 void Vim::HarvestRecency() {
   hot_frames_.assign(geometry_.num_frames(), false);
-  imu_->tlb().HarvestAccessed(harvested_);
+  // Two-level mode: translations recycled out of the micro-TLB keep
+  // being accessed through hardware L2 fills, so the L2's accessed
+  // bits are part of the recency picture.
+  imu_->xlat().HarvestAccessed(harvested_);
   for (const mem::FrameId f : harvested_) {
     policy_->OnTouched(f);
     NoteSpeculativeTouch(f);
     if (f < hot_frames_.size()) hot_frames_[f] = true;
   }
-  // Two-level mode: translations recycled out of the micro-TLB keep
-  // being accessed through hardware L2 fills, so the L2's accessed
-  // bits are part of the recency picture (in single-level mode L2() is
-  // null and this is a no-op).
-  if (hw::Tlb* l2 = L2(); l2 != nullptr) {
-    l2->HarvestAccessed(harvested_);
-    for (const mem::FrameId f : harvested_) {
-      policy_->OnTouched(f);
-      NoteSpeculativeTouch(f);
-      if (f < hot_frames_.size()) hot_frames_[f] = true;
-    }
-  }
 }
 
 bool Vim::FrameDirty(mem::FrameId frame) const {
-  if (pages_.frame(frame).dirty) return true;
-  const std::optional<u32> entry = imu_->tlb().FindByFrame(frame);
-  if (entry.has_value() && imu_->tlb().entry(*entry).dirty) return true;
-  if (const hw::Tlb* l2 = L2(); l2 != nullptr) {
-    const std::optional<u32> e2 = l2->FindByFrame(frame);
-    if (e2.has_value() && l2->entry(*e2).dirty) return true;
-  }
-  return false;
+  return pages_.frame(frame).dirty || imu_->xlat().FrameDirty(frame);
 }
 
 void Vim::OnEndOfOperation() {
@@ -972,167 +898,27 @@ void Vim::OnEndOfOperation() {
   // single-tenant path everything on the fabric belongs to this run; in
   // the vcopd (ASID-scoped) path only this space's entries and frames
   // are touched, so other tenants' working sets survive the switch.
-  hw::Tlb& tlb = imu_->tlb();
-  if (current_scope_ == ResetScope::kFullReset) {
-    for (u32 i = 0; i < tlb.num_entries(); ++i) {
-      const hw::TlbEntry e = tlb.entry(i);
-      if (!e.valid) continue;
-      if (e.dirty && pages_.frame(e.frame).in_use) {
-        pages_.MarkDirty(e.frame);
-      }
-      if (e.accessed || e.dirty) NoteSpeculativeTouch(e.frame);
-    }
-    tlb.InvalidateAll();
-    if (hw::Tlb* l2 = L2(); l2 != nullptr) {
-      for (u32 i = 0; i < l2->num_entries(); ++i) {
-        const hw::TlbEntry e = l2->entry(i);
-        if (!e.valid) continue;
-        if (e.dirty && pages_.frame(e.frame).in_use) {
-          pages_.MarkDirty(e.frame);
-        }
-        if (e.accessed || e.dirty) NoteSpeculativeTouch(e.frame);
-      }
-      l2->InvalidateAll();
-    }
-
-    if (config_.coalesce_writeback) {
-      // One scatter-gather burst cleans every dirty page first; the
-      // sweep below then finds nothing left to write back and keeps
-      // its exact bookkeeping.
-      CoalescedWriteback(pages_.InUseFrames(), dp_cost);
-      if (space_->aborted) {
-        acct().t_imu += imu_cost;
-        acct().t_dp += dp_cost;
-        return;
-      }
-    }
-
-    // "The interface manager copies back to user space all the dirty data
-    // currently residing in the dual-port memory." (§3.3)
-    for (const mem::FrameId f : pages_.InUseFrames()) {
-      const FrameState state = pages_.frame(f);
-      SettleSpeculativeRelease(state);
-      if (state.object == hw::kParamObject) {
-        if (state.pinned) pages_.Unpin(f);
-        pages_.Release(f);
-        space_->param_frame.reset();
-        continue;
-      }
-      const MappedObject* object = space_->objects().Find(state.object);
-      VCOP_CHECK_MSG(object != nullptr, "resident page of unknown object");
-      if (state.dirty) {
-        if (object->direction == Direction::kIn) {
-          ++acct().dirty_in_pages_dropped;
-        } else {
-          const u32 len = PageLength(*object, state.vpage);
-          const mem::TransferResult r = StorePageRetried(
-              state.asid, geometry_.FrameBase(f),
-              PageUserAddr(*object, state.vpage), len);
-          dp_cost += r.time;
-          if (r.bus_error) {
-            acct().t_imu += imu_cost;
-            acct().t_dp += dp_cost;
-            if (!space_->aborted) Abort(last_transfer_failure_);
-            return;
-          }
-          ++acct().writebacks;
-          acct().bytes_written_back += len;
-        }
-      }
-      pages_.Release(f);
-      policy_->OnFreed(f);
-      imu_cost += costs_.Cycles(costs_.page_table_cycles);
-    }
+  std::optional<hw::Asid> scope;
+  if (current_scope_ == ResetScope::kAsidScoped) scope = space_->asid();
+  FoldTlb(scope, /*note_touch=*/true);
+  if (!scope.has_value()) {
+    imu_->xlat().InvalidateAll();
+  } else if (tlb_tagging_) {
+    imu_->xlat().InvalidateAsid(*scope);
+    ++service_stats_.tlb_flushes_avoided;
   } else {
-    const hw::Asid asid = space_->asid();
-    for (u32 i = 0; i < tlb.num_entries(); ++i) {
-      const hw::TlbEntry e = tlb.entry(i);
-      if (!e.valid || e.asid != asid) continue;
-      if (e.dirty && pages_.frame(e.frame).in_use) {
-        pages_.MarkDirty(e.frame);
-      }
-      if (e.accessed || e.dirty) NoteSpeculativeTouch(e.frame);
-    }
-    if (hw::Tlb* l2 = L2(); l2 != nullptr) {
-      for (u32 i = 0; i < l2->num_entries(); ++i) {
-        const hw::TlbEntry e = l2->entry(i);
-        if (!e.valid || e.asid != asid) continue;
-        if (e.dirty && pages_.frame(e.frame).in_use) {
-          pages_.MarkDirty(e.frame);
-        }
-        if (e.accessed || e.dirty) NoteSpeculativeTouch(e.frame);
-      }
-      if (tlb_tagging_) {
-        l2->InvalidateAsid(asid);
-      } else {
-        l2->InvalidateAll();
-      }
-    }
-    if (tlb_tagging_) {
-      tlb.InvalidateAsid(asid);
-      ++service_stats_.tlb_flushes_avoided;
-    } else {
-      tlb.InvalidateAll();
-      ++service_stats_.full_tlb_flushes;
-    }
-
-    if (config_.coalesce_writeback) {
-      CoalescedWriteback(pages_.InUseFramesOf(asid), dp_cost);
-      if (space_->aborted) {
-        acct().t_imu += imu_cost;
-        acct().t_dp += dp_cost;
-        return;
-      }
-    }
-
-    for (const mem::FrameId f : pages_.InUseFramesOf(asid)) {
-      const FrameState state = pages_.frame(f);
-      SettleSpeculativeRelease(state);
-      if (state.object == hw::kParamObject) {
-        if (state.pinned) pages_.Unpin(f);
-        pages_.Release(f);
-        policy_->OnFreed(f);
-        space_->param_frame.reset();
-        continue;
-      }
-      const MappedObject* object = space_->objects().Find(state.object);
-      VCOP_CHECK_MSG(object != nullptr, "resident page of unknown object");
-      if (state.dirty) {
-        if (object->direction == Direction::kIn) {
-          ++acct().dirty_in_pages_dropped;
-        } else {
-          const u32 len = PageLength(*object, state.vpage);
-          const mem::TransferResult r = StorePageRetried(
-              state.asid, geometry_.FrameBase(f),
-              PageUserAddr(*object, state.vpage), len);
-          dp_cost += r.time;
-          if (r.bus_error) {
-            acct().t_imu += imu_cost;
-            acct().t_dp += dp_cost;
-            if (!space_->aborted) Abort(last_transfer_failure_);
-            return;
-          }
-          ++acct().writebacks;
-          acct().bytes_written_back += len;
-        }
-      }
-      pages_.Release(f);
-      policy_->OnFreed(f);
-      imu_cost += costs_.Cycles(costs_.page_table_cycles);
-    }
-    space_->params_live = false;
+    imu_->xlat().InvalidateAll();
+    ++service_stats_.full_tlb_flushes;
   }
 
-  // The run's DMA window is over: shoot down its IO-TLB entries so
-  // nothing can translate through them afterwards (the write-back
-  // sweep above was the last legitimate user).
-  if (config_.iommu) {
-    if (current_scope_ == ResetScope::kFullReset) {
-      iommu_.InvalidateAll();
-    } else {
-      iommu_.InvalidateAsid(space_->asid());
-    }
+  // "The interface manager copies back to user space all the dirty data
+  // currently residing in the dual-port memory." (§3.3)
+  if (!Sweep(scope, SweepMode::kRelease, dp_cost, imu_cost)) {
+    acct().t_imu += imu_cost;
+    acct().t_dp += dp_cost;
+    return;
   }
+  space_->params_live = false;
 
   imu_->AckEnd();
   const Picoseconds wake = costs_.Cycles(costs_.wakeup_cycles);
@@ -1153,13 +939,19 @@ Picoseconds Vim::SaveContext() {
   VCOP_CHECK_MSG(imu_ != nullptr, "context save with no IMU bound");
   VCOP_CHECK_MSG(space_ != nullptr, "context save with no space attached");
   const hw::Asid asid = space_->asid();
-  hw::Tlb& tlb = imu_->tlb();
   Picoseconds dp_cost = 0;
   Picoseconds imu_cost = costs_.Cycles(costs_.context_save_cycles);
 
   // The tenant leaves the fabric; its watchdog must not fire into some
   // other tenant's slice. RestoreContext re-arms.
   ++watchdog_epoch_;
+  // Its overlapped prefetches leave too: a completion landing after the
+  // switch would fill and unpin a frame that the switch evicted or
+  // handed to another tenant. The reserved frames go back unfilled, as
+  // wasted guesses; a resume faults the pages in again.
+  ++epoch_;
+  for (const InFlight& unit : in_flight_) ReleaseFrame(unit.frame);
+  AbandonInFlight();
 
   HarvestRecency();
 
@@ -1167,155 +959,37 @@ Picoseconds Vim::SaveContext() {
   // the saved words (params_live stays true), so holding a pinned frame
   // across the switched-out window would starve the other tenants.
   if (space_->param_frame.has_value()) {
-    if (const std::optional<u32> entry =
-            tlb.Probe(hw::kParamObject, 0, asid)) {
-      tlb.Invalidate(*entry);
-    }
-    if (hw::Tlb* l2 = L2(); l2 != nullptr) {
-      if (const std::optional<u32> e2 =
-              l2->Probe(hw::kParamObject, 0, asid)) {
-        l2->Invalidate(*e2);
-      }
-    }
-    pages_.Unpin(*space_->param_frame);
-    pages_.Release(*space_->param_frame);
-    policy_->OnFreed(*space_->param_frame);
-    space_->param_frame.reset();
+    imu_->xlat().InvalidateFrame(*space_->param_frame);
+    ReleaseParamFrame();
     imu_cost += costs_.Cycles(costs_.page_table_cycles);
   }
 
   space_->tlb_snapshot.clear();
+  bool saved;
   if (tlb_tagging_) {
     // Tagged mode: translations stay installed (that is the point of the
     // ASID), but we snapshot them so a resume can re-install whatever an
-    // intervening tenant recycled. Dirty pages are written back eagerly,
-    // so a foreign eviction of one of our frames while we are switched
-    // out is a free drop.
-    for (u32 i = 0; i < tlb.num_entries(); ++i) {
-      const hw::TlbEntry e = tlb.entry(i);
-      if (!e.valid || e.asid != asid || e.object == hw::kParamObject) {
-        continue;
-      }
-      if (e.dirty && pages_.frame(e.frame).in_use) {
-        pages_.MarkDirty(e.frame);
-      }
-      space_->tlb_snapshot.push_back(
-          TlbSnapshotEntry{e.object, e.vpage, e.frame});
-    }
-    if (hw::Tlb* l2 = L2(); l2 != nullptr) {
-      // L2 holds translations an L1 recycle pushed out; snapshot the
-      // ones L1 no longer has so a resume restores the full set.
-      for (u32 i = 0; i < l2->num_entries(); ++i) {
-        const hw::TlbEntry e = l2->entry(i);
-        if (!e.valid || e.asid != asid || e.object == hw::kParamObject) {
-          continue;
-        }
-        if (e.dirty && pages_.frame(e.frame).in_use) {
-          pages_.MarkDirty(e.frame);
-        }
-        bool already = false;
-        for (const TlbSnapshotEntry& snap : space_->tlb_snapshot) {
-          if (snap.object == e.object && snap.vpage == e.vpage) {
-            already = true;
-            break;
-          }
-        }
-        if (!already) {
-          space_->tlb_snapshot.push_back(
-              TlbSnapshotEntry{e.object, e.vpage, e.frame});
-        }
-      }
-    }
-    if (config_.lazy_writeback) {
-      // Lazy mode: defer the dirty sweep entirely. The frames stay
-      // resident-and-dirty under the deferred ledger; a foreign
-      // eviction, a coalesced burst, or FlushAsid flushes them on
-      // demand (EvictFrame already charges the write-back bookkeeping
-      // to the owner), and a warm resume pays zero write-back.
-      for (const mem::FrameId f : pages_.InUseFramesOf(asid)) {
-        const FrameState state = pages_.frame(f);
-        if (!state.dirty || DeferredMarked(f)) continue;
-        const MappedObject* object = space_->objects().Find(state.object);
-        VCOP_CHECK_MSG(object != nullptr, "resident page of unknown object");
-        // kIn pages are never written back anywhere; no ledger mark.
-        if (object->direction == Direction::kIn) continue;
-        MarkDeferred(f);
-        ++service_stats_.pages_writeback_deferred;
-      }
-      ++service_stats_.lazy_context_saves;
-    } else {
-      if (config_.coalesce_writeback) {
-        const u32 cleaned =
-            CoalescedWriteback(pages_.InUseFramesOf(asid), dp_cost);
-        service_stats_.pages_written_back_on_save += cleaned;
-        if (space_->aborted) {
-          acct().t_dp += dp_cost;
-          acct().t_imu += imu_cost;
-          return dp_cost + imu_cost;
-        }
-      }
-      for (const mem::FrameId f : pages_.InUseFramesOf(asid)) {
-        const FrameState state = pages_.frame(f);
-        if (!state.dirty) continue;
-        const MappedObject* object = space_->objects().Find(state.object);
-        VCOP_CHECK_MSG(object != nullptr,
-                       "resident page of unknown object");
-        // kIn pages never reach user space; if a foreign eviction drops
-        // one later it is counted there, not here.
-        if (object->direction == Direction::kIn) continue;
-        const u32 len = PageLength(*object, state.vpage);
-        const mem::TransferResult r = StorePageRetried(
-            state.asid, geometry_.FrameBase(f),
-            PageUserAddr(*object, state.vpage), len);
-        dp_cost += r.time;
-        if (r.bus_error) {
-          if (!space_->aborted) Abort(last_transfer_failure_);
-          acct().t_dp += dp_cost;
-          acct().t_imu += imu_cost;
-          return dp_cost + imu_cost;
-        }
-        ++acct().writebacks;
-        acct().bytes_written_back += len;
-        space_->written_back.insert({state.object, state.vpage});
-        ++service_stats_.pages_written_back_on_save;
-        pages_.ClearDirty(f);
-        if (const std::optional<u32> entry = tlb.FindByFrame(f)) {
-          tlb.ClearDirty(*entry);
-        }
-        if (hw::Tlb* l2 = L2(); l2 != nullptr) {
-          if (const std::optional<u32> e2 = l2->FindByFrame(f)) {
-            l2->ClearDirty(*e2);
-          }
-        }
-      }
-    }
-    ++service_stats_.tlb_flushes_avoided;
+    // intervening tenant recycled. The eager sweep writes dirty pages
+    // back now, so a foreign eviction of one of our frames while we are
+    // switched out is a free drop; the lazy one defers them (DESIGN.md
+    // §15).
+    FoldTlb(asid, /*note_touch=*/false, &space_->tlb_snapshot);
+    saved = Sweep(asid,
+                  config_.lazy_writeback ? SweepMode::kDefer
+                                         : SweepMode::kClean,
+                  dp_cost, imu_cost);
+    if (saved && config_.lazy_writeback) ++service_stats_.lazy_context_saves;
+    if (saved) ++service_stats_.tlb_flushes_avoided;
   } else {
     // Untagged baseline: the TLB cannot distinguish tenants, so the
     // whole working set leaves the fabric and the TLB is flushed.
-    if (config_.coalesce_writeback) {
-      // Multi-page eviction: one burst writes every dirty page back, so
-      // the per-frame evictions below are all clean (and free).
-      CoalescedWriteback(pages_.InUseFramesOf(asid), dp_cost);
-      if (space_->aborted) {
-        acct().t_dp += dp_cost;
-        acct().t_imu += imu_cost;
-        return dp_cost + imu_cost;
-      }
+    saved = Sweep(asid, SweepMode::kEvict, dp_cost, imu_cost);
+    if (saved) {
+      imu_->xlat().InvalidateAll();
+      ++service_stats_.full_tlb_flushes;
     }
-    for (const mem::FrameId f : pages_.InUseFramesOf(asid)) {
-      EvictFrame(f, dp_cost, imu_cost);
-    }
-    tlb.InvalidateAll();
-    if (hw::Tlb* l2 = L2(); l2 != nullptr) l2->InvalidateAll();
-    ++service_stats_.full_tlb_flushes;
   }
-
-  // The tenant's DMA window closes with its slice: shoot its IO-TLB
-  // entries down so a later tenant cannot translate through them.
-  if (config_.iommu) iommu_.InvalidateAsid(asid);
-
-  ++service_stats_.context_saves;
+  if (saved) ++service_stats_.context_saves;
   acct().t_dp += dp_cost;
   acct().t_imu += imu_cost;
   return dp_cost + imu_cost;
@@ -1350,15 +1024,9 @@ Picoseconds Vim::RestoreContext() {
   if (space_->params_live && !space_->param_frame.has_value()) {
     std::optional<mem::FrameId> frame = AllocFrame();
     if (!frame.has_value()) {
-      std::vector<bool>& evictable = evictable_;
-      pages_.EvictableMask(evictable);
-      bool any = false;
-      for (const bool e : evictable) any = any || e;
-      VCOP_CHECK_MSG(any, "no frame available to restore the parameter "
-                          "page (all pinned)");
-      const mem::FrameId victim = policy_->PickVictim(evictable);
-      EvictFrame(victim, dp_cost, imu_cost);
-      frame = victim;
+      frame = EvictVictim(/*cheap_only=*/false, dp_cost, imu_cost);
+      VCOP_CHECK_MSG(frame.has_value(), "no frame available to restore "
+                                        "the parameter page (all pinned)");
     }
     for (usize i = 0; i < space_->saved_params.size(); ++i) {
       dp_ram_.WriteWord(mem::DualPortRam::Port::kProcessor,
@@ -1385,72 +1053,159 @@ Picoseconds Vim::RestoreContext() {
 
 Picoseconds Vim::FlushAsid(hw::Asid asid, bool write_back) {
   VCOP_CHECK_MSG(imu_ != nullptr, "flush with no IMU bound");
-  hw::Tlb& tlb = imu_->tlb();
-  Picoseconds cost = 0;
-
   // Fold live dirty bits for this space before dropping translations.
-  for (u32 i = 0; i < tlb.num_entries(); ++i) {
-    const hw::TlbEntry e = tlb.entry(i);
-    if (e.valid && e.asid == asid && e.dirty &&
-        pages_.frame(e.frame).in_use) {
-      pages_.MarkDirty(e.frame);
-    }
-  }
-  tlb.InvalidateAsid(asid);
-  if (hw::Tlb* l2 = L2(); l2 != nullptr) {
-    for (u32 i = 0; i < l2->num_entries(); ++i) {
-      const hw::TlbEntry e = l2->entry(i);
-      if (e.valid && e.asid == asid && e.dirty &&
-          pages_.frame(e.frame).in_use) {
-        pages_.MarkDirty(e.frame);
-      }
-    }
-    l2->InvalidateAsid(asid);
-  }
+  FoldTlb(asid, /*note_touch=*/false);
+  imu_->xlat().InvalidateAsid(asid);
   // The flush means "this ASID's interface state is gone": any cached
   // eviction record for it must die with the frames.
   InvalidateVictims(asid);
-
-  AddressSpace* owner = ResolveSpace(asid);
-  if (write_back && config_.coalesce_writeback) {
-    CoalescedWriteback(pages_.InUseFramesOf(asid), cost);
-    // A burst failure leaves the failed pages dirty; the best-effort
-    // per-page sweep below retries them individually.
-  }
-  for (const mem::FrameId f : pages_.InUseFramesOf(asid)) {
-    const FrameState state = pages_.frame(f);
-    if (write_back && state.dirty && state.object != hw::kParamObject &&
-        owner != nullptr) {
-      const MappedObject* object = owner->objects().Find(state.object);
-      if (object != nullptr && object->direction != Direction::kIn) {
-        const u32 len = PageLength(*object, state.vpage);
-        const mem::TransferResult r = StorePageRetried(
-            state.asid, geometry_.FrameBase(f),
-            PageUserAddr(*object, state.vpage), len);
-        cost += r.time;
-        if (r.bus_error) {
-          // Teardown is best-effort: the page's data is lost, which
-          // fault_abort_ (set by the failed retry chain) reports to
-          // vcopd so the job is failed rather than silently truncated.
-          continue;
-        }
-        ++owner->accounting.writebacks;
-        owner->accounting.bytes_written_back += len;
-        owner->written_back.insert({state.object, state.vpage});
-        SettleDeferredFlush(f);
-      }
-    }
-    SettleSpeculativeRelease(pages_.frame(f));
-    if (state.pinned) pages_.Unpin(f);
-    pages_.Release(f);
-    policy_->OnFreed(f);
-  }
-  if (owner != nullptr) owner->param_frame.reset();
-  // IO-TLB shootdown rides the same flush: the ASID's interface state
-  // is gone, and with it every cached DMA translation. After the
-  // write-back sweep — its own stores were the last legitimate users.
-  if (config_.iommu) iommu_.InvalidateAsid(asid);
+  Picoseconds cost = 0;
+  Picoseconds imu_cost = 0;  // not charged: callers decide
+  Sweep(asid, write_back ? SweepMode::kFlush : SweepMode::kDiscard, cost,
+        imu_cost);
   return cost;
+}
+
+// ----- the write-back sweep (DESIGN.md §8) -----
+
+void Vim::FoldTlb(std::optional<hw::Asid> scope, bool note_touch,
+                  std::vector<TlbSnapshotEntry>* snapshot) {
+  imu_->xlat().ForEachValid(scope, [&](const hw::TlbEntry& e, bool in_l2) {
+    if (e.dirty && pages_.frame(e.frame).in_use) pages_.MarkDirty(e.frame);
+    if (note_touch && (e.accessed || e.dirty)) NoteSpeculativeTouch(e.frame);
+    if (snapshot == nullptr || e.object == hw::kParamObject) return;
+    // L2 holds translations an L1 recycle pushed out; snapshot only the
+    // ones L1 no longer has, so a resume restores the full set once.
+    if (in_l2 && imu_->tlb().Probe(e.object, e.vpage, e.asid)) return;
+    snapshot->push_back(TlbSnapshotEntry{e.object, e.vpage, e.frame});
+  });
+}
+
+bool Vim::Sweep(std::optional<hw::Asid> scope, SweepMode mode,
+                Picoseconds& dp_cost, Picoseconds& imu_cost) {
+  pages_.InUseFrames(scope, sweep_frames_);
+  if (config_.coalesce_writeback && mode != SweepMode::kDefer &&
+      mode != SweepMode::kDiscard) {
+    // One scatter-gather burst cleans the dirty pages first; the
+    // per-page pass below then finds them clean and keeps its exact
+    // bookkeeping, or retries one by one what a failed burst left.
+    const u32 cleaned = CoalescedWriteback(sweep_frames_, dp_cost);
+    if (mode == SweepMode::kClean) {
+      service_stats_.pages_written_back_on_save += cleaned;
+    }
+    if (mode != SweepMode::kFlush && space_->aborted) return false;
+  }
+  for (const mem::FrameId f : sweep_frames_) {
+    if (mode == SweepMode::kEvict) {
+      EvictFrame(f, dp_cost, imu_cost);
+      if (space_->aborted) return false;
+      continue;
+    }
+    const FrameState state = pages_.frame(f);
+    AddressSpace* owner = ResolveSpace(state.asid);
+    if (state.object == hw::kParamObject || mode == SweepMode::kDiscard) {
+      if (state.object == hw::kParamObject && owner != nullptr) {
+        owner->param_frame.reset();
+      }
+      ReleaseFrame(f);
+      continue;
+    }
+    const MappedObject* object =
+        owner != nullptr ? owner->objects().Find(state.object) : nullptr;
+    // Only a teardown may meet a page whose object is gone.
+    VCOP_CHECK_MSG(object != nullptr || mode == SweepMode::kFlush,
+                   "resident page of unknown object");
+    // kIn pages never reach user space: the coprocessor's writes to them
+    // are dropped, and counted when the page is released.
+    const bool write_back = state.dirty && object != nullptr &&
+                            object->direction != Direction::kIn;
+    if (mode == SweepMode::kDefer) {
+      if (write_back && !DeferredMarked(f)) {
+        MarkDeferred(f);
+        ++service_stats_.pages_writeback_deferred;
+      }
+      continue;
+    }
+    // The end-of-operation sweep neither records the page as written
+    // back nor settles deferred marks: the run is over (see
+    // VimServiceStats::deferred_writebacks).
+    if (write_back && !WriteBack(f, *owner, *object,
+                                 /*record=*/mode != SweepMode::kRelease,
+                                 dp_cost)) {
+      // Teardown is best-effort: the page keeps its frame, and
+      // fault_abort_ (set by the failed retry chain) reports the lost
+      // data to vcopd so the job is failed rather than truncated.
+      if (mode == SweepMode::kFlush) continue;
+      if (!space_->aborted) Abort(last_transfer_failure_);
+      return false;
+    }
+    if (mode == SweepMode::kClean) {
+      if (write_back) {
+        ++service_stats_.pages_written_back_on_save;
+        MarkClean(f);
+      }
+      continue;
+    }
+    if (mode == SweepMode::kRelease) {
+      if (state.dirty && !write_back) {
+        ++owner->accounting.dirty_in_pages_dropped;
+      }
+      imu_cost += costs_.Cycles(costs_.page_table_cycles);
+    }
+    ReleaseFrame(f);
+  }
+  // The scope's DMA window closes with the sweep: shoot down its IO-TLB
+  // entries so nothing translates through them afterwards (the sweep's
+  // own stores were the last legitimate users).
+  if (config_.iommu) {
+    if (scope.has_value()) {
+      iommu_.InvalidateAsid(*scope);
+    } else {
+      iommu_.InvalidateAll();
+    }
+  }
+  return true;
+}
+
+bool Vim::WriteBack(mem::FrameId frame, AddressSpace& owner,
+                    const MappedObject& object, bool record,
+                    Picoseconds& dp_cost) {
+  const FrameState state = pages_.frame(frame);
+  const u32 len = PageLength(object, state.vpage);
+  const mem::TransferResult r =
+      StorePageRetried(state.asid, geometry_.FrameBase(frame),
+                       PageUserAddr(object, state.vpage), len);
+  dp_cost += r.time;
+  if (r.bus_error) return false;
+  NoteWrittenBack(frame, owner, len, record);
+  return true;
+}
+
+void Vim::NoteWrittenBack(mem::FrameId frame, AddressSpace& owner, u32 len,
+                          bool record) {
+  ++owner.accounting.writebacks;
+  owner.accounting.bytes_written_back += len;
+  if (!record) return;
+  const FrameState& state = pages_.frame(frame);
+  owner.written_back.insert({state.object, state.vpage});
+  SettleDeferredFlush(frame);
+}
+
+void Vim::MarkClean(mem::FrameId frame) {
+  pages_.ClearDirty(frame);
+  imu_->xlat().ClearDirtyFrame(frame);
+}
+
+void Vim::ReleaseFrame(mem::FrameId frame) {
+  SettleSpeculativeRelease(pages_.frame(frame));
+  pages_.Release(frame);
+  policy_->OnFreed(frame);
+}
+
+void Vim::ReleaseParamFrame() {
+  if (!space_->param_frame.has_value()) return;
+  ReleaseFrame(*space_->param_frame);
+  space_->param_frame.reset();
 }
 
 void Vim::AbandonInFlight() {
@@ -1610,12 +1365,12 @@ void Vim::SettleDeferredFlush(mem::FrameId frame) {
   ++service_stats_.deferred_writebacks;
 }
 
-u32 Vim::CoalescedWriteback(const std::vector<mem::FrameId>& frames,
+u32 Vim::CoalescedWriteback(std::span<const mem::FrameId> frames,
                             Picoseconds& dp_cost) {
   // Gather the dirty, write-backable pages. InUseFrames enumerates in
   // frame order, so adjacent dirty pages land in one ascending burst.
-  std::vector<mem::FrameId> batch;
-  std::vector<mem::Iommu::BurstSegment> segments;
+  burst_batch_.clear();
+  burst_segments_.clear();
   for (const mem::FrameId f : frames) {
     const FrameState state = pages_.frame(f);
     if (!state.in_use || state.object == hw::kParamObject) continue;
@@ -1627,36 +1382,24 @@ u32 Vim::CoalescedWriteback(const std::vector<mem::FrameId>& frames,
       continue;  // dropped pages stay with the per-page sweep's counters
     }
     const u32 len = PageLength(*object, state.vpage);
-    batch.push_back(f);
-    segments.push_back(mem::Iommu::BurstSegment{
+    burst_batch_.push_back(f);
+    burst_segments_.push_back(mem::Iommu::BurstSegment{
         state.asid,
         mem::StoreSegment{geometry_.FrameBase(f),
                           PageUserAddr(*object, state.vpage), len}});
   }
-  if (segments.size() < 2) return 0;  // nothing to amortise
+  if (burst_segments_.size() < 2) return 0;  // nothing to amortise
 
-  const mem::BurstResult r = StoreBurstRetried(segments);
+  const mem::BurstResult r = StoreBurstRetried(burst_segments_);
   dp_cost += r.time;
   // Settle the pages that actually landed, even on a failed burst: they
   // are clean now, and the per-page sweep must not write them twice.
   for (u32 i = 0; i < r.completed_segments; ++i) {
-    const mem::FrameId f = batch[i];
-    const FrameState state = pages_.frame(f);
-    AddressSpace* owner = ResolveSpace(state.asid);
+    const mem::FrameId f = burst_batch_[i];
+    AddressSpace* owner = ResolveSpace(pages_.frame(f).asid);
     VCOP_CHECK_MSG(owner != nullptr, "burst page lost its owner");
-    ++owner->accounting.writebacks;
-    owner->accounting.bytes_written_back += segments[i].seg.len;
-    owner->written_back.insert({state.object, state.vpage});
-    SettleDeferredFlush(f);
-    pages_.ClearDirty(f);
-    if (const std::optional<u32> entry = imu_->tlb().FindByFrame(f)) {
-      imu_->tlb().ClearDirty(*entry);
-    }
-    if (hw::Tlb* l2 = L2(); l2 != nullptr) {
-      if (const std::optional<u32> e2 = l2->FindByFrame(f)) {
-        l2->ClearDirty(*e2);
-      }
-    }
+    NoteWrittenBack(f, *owner, burst_segments_[i].seg.len, /*record=*/true);
+    MarkClean(f);
   }
   ++service_stats_.coalesced_bursts;
   service_stats_.coalesced_pages += r.completed_segments;

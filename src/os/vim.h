@@ -255,13 +255,16 @@ class Vim {
   // ----- preemptive context switching (vcopd) -----
 
   /// Saves the attached space's interface context at a fault boundary:
-  /// merges TLB dirty bits, snapshots the space's translations,
-  /// releases the pinned parameter frame, and either eagerly cleans
-  /// dirty frames (ASID tagging on — frames stay resident and clean) or
-  /// evicts everything with a full TLB flush (tagging off, the
-  /// flush-on-switch baseline). Charges the space's accounting and
-  /// returns the total service time. The faulting IMU stays
-  /// fault-stalled; re-enter via OnPageFault after RestoreContext.
+  /// releases its in-flight overlapped prefetches (their frames go back
+  /// unfilled) and its pinned parameter frame, then sweeps the space's
+  /// pages. With ASID tagging on it folds and snapshots the space's
+  /// translations and either writes dirty pages back, keeping them
+  /// resident and clean (eager), or leaves them dirty under deferred
+  /// marks (lazy_writeback); with tagging off it evicts every page and
+  /// flushes the whole TLB (the flush-on-switch baseline). Charges the
+  /// space's accounting and returns the total service time. The
+  /// faulting IMU stays fault-stalled; re-enter via OnPageFault after
+  /// RestoreContext.
   Picoseconds SaveContext();
 
   /// Restores a previously saved context: re-installs surviving TLB
@@ -270,9 +273,11 @@ class Vim {
   Picoseconds RestoreContext();
 
   /// Drops every frame and TLB entry owned by `asid`. With `write_back`
-  /// dirty non-IN pages go to user memory first; without, partial
-  /// results are discarded (abort/teardown). Returns the transfer time.
-  /// Does not charge any space's accounting — callers decide.
+  /// dirty non-IN pages go to user memory first, best-effort: a page
+  /// whose store fails after retries keeps its frame and the flush goes
+  /// on. Without, partial results are discarded (abort/teardown).
+  /// Returns the transfer time; charges only the write-backs, to the
+  /// owner — the time is the caller's to account.
   Picoseconds FlushAsid(hw::Asid asid, bool write_back);
 
   /// Consulted at each fault *before* servicing it; returning true
@@ -315,7 +320,9 @@ class Vim {
   }
 
   /// Called when a run must be aborted (fault on an unmapped object or
-  /// out-of-bounds access). The kernel fails the FPGA_EXECUTE call.
+  /// out-of-bounds access). The kernel fails the FPGA_EXECUTE call. The
+  /// handler runs in the middle of a fault service or sweep, so it must
+  /// not call back into the VIM (flush the space after the run instead).
   void set_abort_handler(std::function<void(Status)> handler) {
     on_abort_ = std::move(handler);
   }
@@ -392,6 +399,15 @@ class Vim {
   void EvictFrame(mem::FrameId frame, Picoseconds& dp_cost,
                   Picoseconds& imu_cost);
 
+  /// Evicts the replacement policy's pick among the unpinned frames;
+  /// with `cheap_only`, among the clean frames the coprocessor has not
+  /// touched since the last harvest (speculation never pays a
+  /// write-back or displaces a hot page). Returns the freed frame, or
+  /// nullopt when no frame qualifies.
+  std::optional<mem::FrameId> EvictVictim(bool cheap_only,
+                                          Picoseconds& dp_cost,
+                                          Picoseconds& imu_cost);
+
   /// Owner space of `asid`: the attached space or, for foreign tags,
   /// whatever the resolver returns (nullptr when unknown).
   AddressSpace* ResolveSpace(hw::Asid asid);
@@ -420,8 +436,9 @@ class Vim {
   mem::UserAddr PageUserAddr(const MappedObject& object,
                              mem::VirtPage vpage) const;
 
-  /// Whether the bound IMU fronts a two-level hierarchy; the shared L2
-  /// (null otherwise).
+  /// The shared L2 when the bound IMU fronts a two-level hierarchy
+  /// (null otherwise). Only InstallTlbEntry reaches a level directly;
+  /// every other TLB operation goes through imu_->xlat().
   hw::Tlb* L2() const;
 
   /// Central enforcement of the Suggest contract: strategies are
@@ -464,15 +481,69 @@ class Vim {
   /// PageManager::FindFree, keeping frame choice byte-identical.
   std::optional<mem::FrameId> AllocFrame() const;
 
-  // ----- coalesced write-back -----
+  // ----- the write-back sweep (DESIGN.md §8) -----
+
+  /// What a sweep does with each resident page of its scope.
+  enum class SweepMode {
+    kRelease,  // end of operation: write dirty pages back, free all
+    kClean,    // eager save: write dirty pages back, keep them, clean
+    kDefer,    // lazy save: mark dirty pages deferred, write nothing
+    kEvict,    // untagged save: EvictFrame every page
+    kFlush,    // FlushAsid with write-back: best-effort kRelease
+    kDiscard,  // FlushAsid without write-back: free all, drop dirty data
+  };
+
+  /// The VIM's one write-back sweep over the resident pages of `scope`
+  /// (every frame, or one ASID's): a coalesced burst when enabled, the
+  /// per-page action of `mode`, then the scope's IO-TLB shootdown. The
+  /// caller folds (and drops) the scope's translations first. Returns
+  /// false when a store failed and the run was aborted; kFlush skips a
+  /// failed page instead and never aborts.
+  bool Sweep(std::optional<hw::Asid> scope, SweepMode mode,
+             Picoseconds& dp_cost, Picoseconds& imu_cost);
+
+  /// Folds the dirty bit of every valid TLB entry in `scope` (both
+  /// levels) into the page state. With `note_touch` an accessed or
+  /// dirty entry also settles its frame's speculation as useful; with
+  /// `snapshot` the scope's translations (parameter page excluded) are
+  /// appended to it for RestoreContext.
+  void FoldTlb(std::optional<hw::Asid> scope, bool note_touch,
+               std::vector<TlbSnapshotEntry>* snapshot = nullptr);
+
+  /// Stores the dirty page in `frame` to `owner`'s user memory — the
+  /// VIM's only per-page store — and books it (NoteWrittenBack).
+  /// Returns false when the store failed after its retries.
+  bool WriteBack(mem::FrameId frame, AddressSpace& owner,
+                 const MappedObject& object, bool record,
+                 Picoseconds& dp_cost);
+
+  /// Charges a page that reached user memory to `owner`; with `record`
+  /// also remembers it as written back (later faults reload it) and
+  /// settles its deferred mark.
+  void NoteWrittenBack(mem::FrameId frame, AddressSpace& owner, u32 len,
+                       bool record);
+
+  /// Clears `frame`'s dirty bit in the page state and both TLB levels:
+  /// the page was written back and stays resident.
+  void MarkClean(mem::FrameId frame);
+
+  /// Frees `frame`: settles its speculation, releases it (pins too) and
+  /// tells the replacement policy.
+  void ReleaseFrame(mem::FrameId frame);
+
+  /// Frees the attached space's parameter frame, if it holds one.
+  void ReleaseParamFrame();
 
   /// Writes every dirty, write-backable page among `frames` back to
-  /// user memory as one scatter-gather burst, leaving the pages
-  /// resident and *clean* — the caller's per-page sweep then finds no
-  /// dirty pages and keeps its exact bookkeeping. Returns the pages
-  /// cleaned; on an unrecoverable burst failure the remaining dirty
-  /// pages are left for the caller's per-page (retried) path.
-  u32 CoalescedWriteback(const std::vector<mem::FrameId>& frames,
+  /// user memory as one scatter-gather burst (when there are at least
+  /// two), leaving the pages resident and *clean* and booked like
+  /// WriteBack with `record` — the sweep's per-page pass then finds
+  /// them clean and keeps its exact bookkeeping. Sweep calls it in
+  /// every mode but kDefer and kDiscard, EvictFrame for a lazy victim's
+  /// whole deferred set. Returns the pages cleaned; on an unrecoverable
+  /// burst failure the remaining dirty pages are left for the per-page
+  /// (retried) path.
+  u32 CoalescedWriteback(std::span<const mem::FrameId> frames,
                          Picoseconds& dp_cost);
 
   /// StoreBurst with the same bounded retry-with-backoff as the
@@ -617,7 +688,11 @@ class Vim {
   std::vector<bool> hot_frames_;
   // Per-fault scratch, kept so the fault path does not allocate.
   std::vector<bool> evictable_;            // PageManager::EvictableMask
-  std::vector<mem::FrameId> harvested_;    // Tlb::HarvestAccessed
+  std::vector<mem::FrameId> harvested_;    // TlbHierarchy::HarvestAccessed
+  std::vector<mem::FrameId> sweep_frames_;  // Sweep, background cleaning
+  std::vector<mem::FrameId> burst_frames_;  // EvictFrame's deferred burst
+  std::vector<mem::FrameId> burst_batch_;   // CoalescedWriteback
+  std::vector<mem::Iommu::BurstSegment> burst_segments_;
 
   /// Per-frame deferred-dirty ledger (lazy_writeback). A mark is live
   /// only while the frame still holds the same install generation for

@@ -56,12 +56,13 @@ Counted CountGather(runtime::FpgaSystem& sys, u32 n) {
   return Counted{g_allocations.load(), report.value().vim.faults};
 }
 
-TEST(AllocTest, FaultServiceAllocatesNothingPerFaultWithRecorderOff) {
-  const os::KernelConfig config = runtime::Epxa1Config();
+/// Runs a gather job over a table four times the size of the DP-RAM
+/// twice — once with indices that mostly hit, once with indices that
+/// mostly fault — and expects both runs to allocate equally often.
+void ExpectAllocationsIndependentOfFaults(const os::KernelConfig& config) {
   runtime::FpgaSystem sys(config);
   ASSERT_TRUE(sys.Load(cp::GatherBitstream()).ok());
 
-  // A table four times the size of the DP-RAM.
   const u32 table_words = 4 * config.dp_ram_bytes / 4;
   constexpr u32 kN = 4096;
   auto table = sys.Allocate<u32>(table_words);
@@ -99,6 +100,20 @@ TEST(AllocTest, FaultServiceAllocatesNothingPerFaultWithRecorderOff) {
       << few.faults << " faults: " << few.allocations << " allocations; "
       << many.faults << " faults: " << many.allocations << " allocations";
   EXPECT_TRUE(sys.kernel().timeline().events().empty());
+}
+
+TEST(AllocTest, FaultServiceAllocatesNothingPerFaultWithRecorderOff) {
+  ExpectAllocationsIndependentOfFaults(runtime::Epxa1Config());
+}
+
+// Overlap mode adds background cleaning to every fault service: it
+// enumerates the resident frames and copies dirty pages out while the
+// coprocessor runs, and must do both without allocating.
+TEST(AllocTest, BackgroundCleaningAllocatesNothingPerFault) {
+  os::KernelConfig config = runtime::Epxa1Config();
+  config.vim.overlap_prefetch = true;
+  config.vim.prefetch = os::PrefetchKind::kNone;
+  ExpectAllocationsIndependentOfFaults(config);
 }
 
 }  // namespace

@@ -230,8 +230,12 @@ TEST(PageManagerTest, ResetFreesEverything) {
 TEST(PageManagerTest, InUseFramesEnumerates) {
   PageManager pm(mem::PageGeometry(1024, 4));
   pm.Install(3, 1, 0);
-  pm.Install(1, 1, 1);
-  EXPECT_EQ(pm.InUseFrames(), (std::vector<mem::FrameId>{1, 3}));
+  pm.Install(1, 1, 1, /*pinned=*/false, /*asid=*/2);
+  std::vector<mem::FrameId> frames{7};  // replaced, not appended to
+  pm.InUseFrames(std::nullopt, frames);
+  EXPECT_EQ(frames, (std::vector<mem::FrameId>{1, 3}));
+  pm.InUseFrames(/*asid=*/2, frames);
+  EXPECT_EQ(frames, (std::vector<mem::FrameId>{1}));
 }
 
 TEST(PageManagerDeathTest, DoubleInstallAborts) {

@@ -8,13 +8,17 @@
 // fault or its earlier write-back gets clobbered.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <ostream>
+#include <string>
 #include <tuple>
 
 #include "apps/adpcm.h"
 #include "apps/idea.h"
 #include "apps/workloads.h"
 #include "base/rng.h"
+#include "base/table.h"
 #include "runtime/config.h"
 #include "runtime/drivers.h"
 #include "runtime/fpga_api.h"
@@ -45,6 +49,17 @@ struct GatherParam {
   os::PolicyKind policy;
   u64 seed;
 };
+
+// gtest prints a parameter into the test name ctest discovers; without
+// these printers it dumps the struct's raw bytes, padding included, so
+// the names changed from run to run. These build them from the fields.
+
+/// e.g. n3000_lru_s5.
+void PrintTo(const GatherParam& p, std::ostream* os) {
+  *os << StrFormat("n%u_%s_s%llu", p.elements,
+                   std::string(os::ToString(p.policy)).c_str(),
+                   static_cast<unsigned long long>(p.seed));
+}
 
 class GatherPropertyTest
     : public ::testing::TestWithParam<GatherParam> {};
@@ -102,6 +117,18 @@ struct PlatformParam {
   mem::CopyMode copy_mode;
   os::PrefetchKind prefetch;
 };
+
+/// e.g. p2048_f8_t8_pipelined_fifo_double_copy_none.
+void PrintTo(const PlatformParam& p, std::ostream* os) {
+  std::string name = StrFormat(
+      "p%u_f%u_t%u%s_%s_%s_%s", p.page_bytes, p.num_frames, p.tlb_entries,
+      p.pipelined ? "_pipelined" : "",
+      std::string(os::ToString(p.policy)).c_str(),
+      std::string(mem::ToString(p.copy_mode)).c_str(),
+      std::string(os::ToString(p.prefetch)).c_str());
+  std::replace(name.begin(), name.end(), '-', '_');
+  *os << name;
+}
 
 class AdpcmPlatformPropertyTest
     : public ::testing::TestWithParam<PlatformParam> {};

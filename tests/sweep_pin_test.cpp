@@ -281,11 +281,12 @@ ContendedRun RunContended(SaveMode mode, bool coalesce, bool two_level,
 
   Tenant alpha = StageTenant(sys, daemon, "alpha", 1);
   Tenant beta = StageTenant(sys, daemon, "beta", 2);
+  const std::vector<u32> params = {12u * 1024, 0u, 0u};
   const Ticket t1 = VcopdClient(daemon, alpha.id)
-                        .Submit(cp::AdpcmDecodeBitstream(), {12u * 1024, 0u, 0u})
+                        .Submit(cp::AdpcmDecodeBitstream(), params)
                         .value();
   const Ticket t2 = VcopdClient(daemon, beta.id)
-                        .Submit(cp::AdpcmDecodeBitstream(), {12u * 1024, 0u, 0u})
+                        .Submit(cp::AdpcmDecodeBitstream(), params)
                         .value();
   ContendedRun run;
   Digest d;
@@ -342,7 +343,9 @@ TEST(SweepPinTest, ContendedContextSaves) {
     // Only single-level runs are asserted exact: with an L1/L2 split
     // each job's IMU keeps a private L1 whose entries outlive a tagged
     // switch-out, and one that went stale meanwhile corrupts the output.
-    if (!two_level) EXPECT_TRUE(run.exact) << i;
+    if (!two_level) {
+      EXPECT_TRUE(run.exact) << i;
+    }
     EXPECT_EQ(run.digest, expected[i])
         << "mode=" << static_cast<int>(mode) << " coalesce=" << coalesce
         << " two_level=" << two_level << std::hex << " digest=0x"

@@ -206,12 +206,18 @@ struct PreemptionRun {
   u64 preemptions = 0;
   VimServiceStats service;
   bool correct = false;
+  u32 frames_in_use = 0;  // DP-RAM frames still held after the run
 };
 
 PreemptionRun RunContendedAdpcm(bool asid_tagging,
-                                bool lazy_writeback = false) {
+                                bool lazy_writeback = false,
+                                bool overlap_prefetch = false) {
   KernelConfig kernel_config = TestConfig();
   kernel_config.vim.lazy_writeback = lazy_writeback;
+  if (overlap_prefetch) {
+    kernel_config.vim.prefetch = PrefetchKind::kSequential;
+    kernel_config.vim.overlap_prefetch = true;
+  }
   FpgaSystem sys(kernel_config);
   VcopdConfig config;
   config.policy = ServicePolicy::kFairShare;
@@ -236,6 +242,7 @@ PreemptionRun RunContendedAdpcm(bool asid_tagging,
   PreemptionRun run;
   run.preemptions = daemon.stats().preemptions;
   run.service = sys.kernel().vim().service_stats();
+  run.frames_in_use = sys.kernel().vim().page_manager().frames_in_use();
   run.correct = daemon.Poll(t1)->status.ok() &&
                 daemon.Poll(t2)->status.ok() &&
                 first.out.ToVector() == first.expect &&
@@ -272,6 +279,26 @@ TEST(VcopdTest, UntaggedBaselineFlushesOnEverySwitch) {
   EXPECT_GT(untagged.service.full_tlb_flushes, 0u);
   EXPECT_EQ(untagged.service.tlb_flushes_avoided, 0u);
   EXPECT_EQ(untagged.service.tlb_entries_restored, 0u);
+}
+
+// Overlapped prefetch under preemption: speculative frames belong to
+// the tenant that faulted, and a context save cancels that tenant's
+// in-flight loads, so no completion event fills or unpins a frame the
+// switch evicted or handed to the other tenant; background cleaning
+// only writes back the running tenant's pages.
+TEST(VcopdTest, OverlappedPrefetchSurvivesPreemption) {
+  const struct {
+    bool tagging;
+    bool lazy;
+  } modes[] = {{true, false}, {true, true}, {false, false}};
+  for (const auto& mode : modes) {
+    const PreemptionRun run =
+        RunContendedAdpcm(mode.tagging, mode.lazy, /*overlap_prefetch=*/true);
+    EXPECT_TRUE(run.correct) << mode.tagging << mode.lazy;
+    EXPECT_GT(run.preemptions, 0u);
+    EXPECT_GT(run.service.prefetch_issued, 0u);
+    EXPECT_EQ(run.frames_in_use, 0u);
+  }
 }
 
 // ----- mixed multi-tenant correctness -----
