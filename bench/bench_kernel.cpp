@@ -26,8 +26,11 @@ struct Measurement {
                               // across engines — checked)
 };
 
+/// Both engines are the cycle engine, with and without edge batching;
+/// the fast-forward tier has its own bench (bench_fastforward).
 os::KernelConfig EngineConfig(bool fast) {
   os::KernelConfig config = runtime::Epxa1Config();
+  config.sim_tuning.fastforward = false;
   if (!fast) {
     config.sim_tuning.batch_edges = false;
     config.sim_tuning.coalesce_ticks = false;

@@ -10,6 +10,9 @@
 //   affinity  slots=3 + design-affinity DRR (bounded skip budget)
 //   lazy      slots=1 + lazy context write-back (deferred dirty sweep)
 //   combined  slots=3 + affinity + lazy
+//   slots2, affinity2, combined2
+//             the same three on 2 slots: fewer slots than designs, so
+//             the cache must evict, by next use over vcopd's queue
 //
 // Gates (rc=1 on failure), written to BENCH_reconfig.json for CI:
 //   * every mode's outputs byte-identical to the software reference;
@@ -21,7 +24,9 @@
 //     fabric time within kJainSlack of the baseline;
 //   * lazy defers its save-time dirty sweep (zero eager write-backs on
 //     save) and still settles every page (outputs stay exact);
-//   * combined improves makespan over the baseline.
+//   * combined improves makespan over the baseline;
+//   * the 2-slot modes pay no more full reconfigurations than LRU
+//     eviction did (kLru2SlotReconfigs).
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -52,6 +57,10 @@ using runtime::VcopdClient;
 constexpr double kJainSlack = 0.02;
 /// Absolute fairness floor for every mode.
 constexpr double kJainFloor = 0.85;
+/// Full reconfigurations the 2-slot modes paid when the slot cache
+/// evicted by LRU (slots2, affinity2, combined2): next-use eviction
+/// must not pay more.
+constexpr u64 kLru2SlotReconfigs[3] = {73, 12, 12};
 
 // Conv2d tenant geometry: width fixed, height = input_bytes / width.
 constexpr u32 kConvWidth = 64;
@@ -341,8 +350,12 @@ int Main() {
   const Mode kAffinity{"affinity", 3, true, false, false};
   const Mode kLazy{"lazy", 1, false, true, false};
   const Mode kCombined{"combined", 3, true, true, false};
-  const std::vector<const Mode*> modes = {&kBaseline, &kExplicit, &kSlots,
-                                          &kAffinity, &kLazy, &kCombined};
+  const Mode kSlots2{"slots2", 2, false, false, false};
+  const Mode kAffinity2{"affinity2", 2, true, false, false};
+  const Mode kCombined2{"combined2", 2, true, true, false};
+  const std::vector<const Mode*> modes = {
+      &kBaseline, &kExplicit, &kSlots,  &kAffinity,   &kLazy,
+      &kCombined, &kSlots2,   &kAffinity2, &kCombined2};
 
   // The modes are independent simulations of the same tenant spec —
   // run them side by side on the fleet runner.
@@ -354,6 +367,7 @@ int Main() {
   const FleetResult& affinity = runs[3];
   const FleetResult& lazy = runs[4];
   const FleetResult& combined = runs[5];
+  const FleetResult* const two_slot[3] = {&runs[6], &runs[7], &runs[8]};
 
   Table table({"mode", "slots", "affin", "lazy", "makespan us", "reconf",
                "activ", "cfg us", "eager wb", "defer wb", "jain", "exact"});
@@ -457,6 +471,20 @@ int Main() {
     rc = 1;
   }
 
+  // ----- gate: next-use eviction pays no more than LRU did -----
+  bool within_lru = true;
+  for (usize i = 0; i < 3; ++i) {
+    const u64 paid = two_slot[i]->stats.reconfigurations;
+    if (paid > kLru2SlotReconfigs[i]) {
+      std::printf("FAIL: %s paid %llu full reconfigurations, above LRU's "
+                  "%llu\n",
+                  modes[6 + i]->name, static_cast<unsigned long long>(paid),
+                  static_cast<unsigned long long>(kLru2SlotReconfigs[i]));
+      within_lru = false;
+      rc = 1;
+    }
+  }
+
   std::printf(
       "  reconfigurations: %u baseline -> %u combined (%llu activations, "
       "%.1f us saved)\n"
@@ -486,7 +514,8 @@ int Main() {
       f,
       "  \"gates\": {\"outputs_exact\": %s, \"defaults_inert\": %s, "
       "\"reconfigs_below_baseline\": %s, \"fairness_held\": %s, "
-      "\"lazy_deferred\": %s, \"makespan_improved\": %s, \"pass\": %s}\n}\n",
+      "\"lazy_deferred\": %s, \"makespan_improved\": %s, "
+      "\"two_slot_within_lru\": %s, \"pass\": %s}\n}\n",
       combined.outputs_exact && baseline.outputs_exact ? "true" : "false",
       explicit_run.report.makespan == baseline.report.makespan ? "true"
                                                                : "false",
@@ -496,7 +525,7 @@ int Main() {
       combined.jain() + kJainSlack >= jain_ref ? "true" : "false",
       combined.service.pages_written_back_on_save == 0 ? "true" : "false",
       combined.report.makespan < baseline.report.makespan ? "true" : "false",
-      rc == 0 ? "true" : "false");
+      within_lru ? "true" : "false", rc == 0 ? "true" : "false");
   std::fclose(f);
   std::printf("wrote BENCH_reconfig.json\n");
   return rc;

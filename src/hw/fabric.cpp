@@ -1,5 +1,7 @@
 #include "hw/fabric.h"
 
+#include <algorithm>
+
 #include "base/table.h"
 
 namespace vcop::hw {
@@ -73,7 +75,8 @@ bool FpgaFabric::DesignResident(const std::string& name) const {
   return false;
 }
 
-Result<SlotAcquire> FpgaFabric::AcquireDesign(const Bitstream& bitstream) {
+Result<SlotAcquire> FpgaFabric::AcquireDesign(
+    const Bitstream& bitstream, std::span<const std::string> next_use) {
   if (bitstream.name == active_design_) return SlotAcquire{};
 
   // Hit on a dormant slot: rewrite only the region-select frame.
@@ -102,7 +105,8 @@ Result<SlotAcquire> FpgaFabric::AcquireDesign(const Bitstream& bitstream) {
     return acquired;
   }
 
-  // Miss: full configuration into the LRU slot.
+  // Miss: full configuration into an empty slot, else over the design
+  // needed last.
   const Result<Picoseconds> priced = PriceConfigure(bitstream);
   if (!priced.ok()) return priced.status();
   if (InjectConfigError()) {
@@ -112,13 +116,25 @@ Result<SlotAcquire> FpgaFabric::AcquireDesign(const Bitstream& bitstream) {
                   "configuration stream)",
                   bitstream.name.c_str()));
   }
+  // Position of a design in the forecast; one it omits ranks past the
+  // end, behind every foreseen use.
+  const auto rank = [next_use](const std::string& design) {
+    return std::find(next_use.begin(), next_use.end(), design) -
+           next_use.begin();
+  };
   Slot* victim = &slots_.front();
+  auto victim_rank = rank(victim->design);
   for (Slot& slot : slots_) {
     if (slot.design.empty()) {
       victim = &slot;
       break;
     }
-    if (slot.last_used < victim->last_used) victim = &slot;
+    const auto slot_rank = rank(slot.design);
+    if (slot_rank > victim_rank ||
+        (slot_rank == victim_rank && slot.last_used < victim->last_used)) {
+      victim = &slot;
+      victim_rank = slot_rank;
+    }
   }
   if (!victim->design.empty()) ++slot_stats_.evictions;
   victim->design = bitstream.name;

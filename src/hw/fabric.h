@@ -13,6 +13,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,7 +44,7 @@ struct Bitstream {
 struct ConfigSlotStats {
   u64 hits = 0;        // design already resident in some slot
   u64 misses = 0;      // full configuration-port transfer paid
-  u64 evictions = 0;   // a resident design was displaced (LRU)
+  u64 evictions = 0;   // a resident design was displaced
   Picoseconds activation_time = 0;  // total slot-activation time
   Picoseconds configure_time = 0;   // total full-configuration time
 };
@@ -104,9 +105,12 @@ class FpgaFabric {
   //   * hit on the active slot — free (the design is already wired up);
   //   * hit on a dormant slot — a slot activation, priced as a
   //     kSlotActivationBytes configuration-port transfer;
-  //   * miss — a full configuration into the LRU slot (evicting its
-  //     resident design when occupied).
-  // With one slot (the default) this degenerates to exactly the classic
+  //   * miss — a full configuration into an empty slot, else into the
+  //     slot whose design the caller's `next_use` ranking needs last.
+  // The fabric holds no policy of its own: the ranking is the caller's
+  // forecast (vcopd's dispatch order over its queue), and without one
+  // the victim is the least recently used slot. With one slot (the
+  // default) this degenerates to exactly the classic
   // switch-every-alternation model vcopd has always used.
 
   /// Resizes the configuration cache to `n` >= 1 slots, dropping any
@@ -119,7 +123,14 @@ class FpgaFabric {
   /// Both paths consult the kConfigError fault site; a CRC fault fails
   /// the acquire cleanly (an activation fault additionally evicts the
   /// damaged slot — its configuration can no longer be trusted).
-  Result<SlotAcquire> AcquireDesign(const Bitstream& bitstream);
+  ///
+  /// `next_use` lists designs in the order the caller expects to need
+  /// them, soonest first. On a miss the victim is the resident design
+  /// needed last: one the ranking omits has no foreseen use and goes
+  /// before every ranked one (Belady-MIN over the forecast). Ties, and
+  /// an empty ranking, fall back to LRU.
+  Result<SlotAcquire> AcquireDesign(const Bitstream& bitstream,
+                                    std::span<const std::string> next_use = {});
 
   /// Whether `name` is configured in some slot (active or dormant).
   bool DesignResident(const std::string& name) const;

@@ -310,10 +310,9 @@ bool Vcopd::AnyOtherRunnable(const Tenant* current) const {
   return false;
 }
 
-const std::string& Vcopd::HeadDesign(const Tenant& tenant) {
-  const Job* head = tenant.inflight != nullptr ? tenant.inflight
-                                               : tenant.queue.front();
-  return head->bitstream.name;
+const Vcopd::Job& Vcopd::HeadJob(const Tenant& tenant) {
+  return tenant.inflight != nullptr ? *tenant.inflight
+                                    : *tenant.queue.front();
 }
 
 Vcopd::Tenant* Vcopd::PickNext() {
@@ -330,12 +329,12 @@ Vcopd::Tenant* Vcopd::PickNext() {
     u32 best_rank = 0;
     for (const std::unique_ptr<Tenant>& t : tenants_) {
       if (!t->active || !Runnable(*t)) continue;
-      const std::string& design = HeadDesign(*t);
+      const Job& head = HeadJob(*t);
+      const std::string& design = head.bitstream.name;
       const u32 rank = design == fabric.active_design() ? 2
                        : fabric.DesignResident(design)  ? 1
                                                         : 0;
-      const Ticket ticket =
-          (t->inflight != nullptr ? t->inflight : t->queue.front())->ticket;
+      const Ticket ticket = head.ticket;
       if (best == nullptr || rank > best_rank ||
           (rank == best_rank && ticket < best_ticket)) {
         best = t.get();
@@ -382,13 +381,13 @@ Vcopd::Tenant* Vcopd::PickNext() {
     // tenant that has already been skipped `affinity_skip_budget`
     // times in a row (the DRR no-starvation bound).
     const hw::FpgaFabric& fabric = kernel_.fabric();
-    if (!fabric.DesignResident(HeadDesign(*fair)) &&
+    if (!fabric.DesignResident(HeadJob(*fair).bitstream.name) &&
         fair->affinity_skips < config_.affinity_skip_budget) {
       for (usize k = fair_k + 1; k < tenants_.size(); ++k) {
         Tenant* t = tenants_[(start + k) % tenants_.size()].get();
         if (!t->active || !Runnable(*t)) continue;
         if (t->affinity_skips >= config_.affinity_skip_budget) break;
-        if (fabric.DesignResident(HeadDesign(*t))) {
+        if (fabric.DesignResident(HeadJob(*t).bitstream.name)) {
           pick = t;
           break;
         }
@@ -412,13 +411,67 @@ Vcopd::Tenant* Vcopd::PickNext() {
   return pick;
 }
 
+std::vector<std::string> Vcopd::ForecastDesigns() const {
+  // Every visible job, in-flight ones included, in the order the
+  // dispatcher is expected to serve it.
+  std::vector<const Job*> order;
+  if (config_.policy == ServicePolicy::kFifoBatch) {
+    // The load makes the incoming design the active one, so every other
+    // resident design shares one batching rank: arrival order decides.
+    for (const std::unique_ptr<Tenant>& t : tenants_) {
+      if (!t->active) continue;
+      if (t->inflight != nullptr) order.push_back(t->inflight);
+      order.insert(order.end(), t->queue.begin(), t->queue.end());
+    }
+    std::sort(order.begin(), order.end(), [](const Job* a, const Job* b) {
+      return a->ticket < b->ticket;
+    });
+  } else {
+    // Round by round over the DRR ring from the tenant being dispatched:
+    // each tenant's next job, then each one's second, and so on. Design
+    // affinity bypasses only tenants whose design is not resident, so it
+    // keeps this order among the resident designs that compete for
+    // eviction.
+    const usize n = tenants_.size();
+    const usize start = current_ != nullptr ? current_->id - 1 : 0;
+    for (usize depth = 0, added = 1; added > 0; ++depth) {
+      added = 0;
+      for (usize k = 0; k < n; ++k) {
+        const Tenant& t = *tenants_[(start + k) % n];
+        if (!t.active) continue;
+        const usize ahead = t.inflight != nullptr ? 1 : 0;
+        if (depth < ahead) {
+          order.push_back(t.inflight);
+        } else if (depth - ahead < t.queue.size()) {
+          order.push_back(t.queue[depth - ahead]);
+        } else {
+          continue;
+        }
+        ++added;
+      }
+    }
+  }
+  std::vector<std::string> designs;
+  for (const Job* job : order) {
+    const std::string& design = job->bitstream.name;
+    if (std::find(designs.begin(), designs.end(), design) == designs.end()) {
+      designs.push_back(design);
+    }
+  }
+  return designs;
+}
+
 Result<Picoseconds> Vcopd::SwitchDesign(Job& job) {
   hw::FpgaFabric& fabric = kernel_.fabric();
   if (fabric.active_design() == job.bitstream.name) return Picoseconds{0};
   // Submit validated the price, but the library could have changed
   // since; a stale design fails the job, not the daemon. AcquireDesign
-  // re-validates on the miss path.
-  const Result<hw::SlotAcquire> acquired = fabric.AcquireDesign(job.bitstream);
+  // re-validates on the miss path. Only a miss evicts, so only a miss
+  // needs the forecast.
+  const Result<hw::SlotAcquire> acquired =
+      fabric.DesignResident(job.bitstream.name)
+          ? fabric.AcquireDesign(job.bitstream)
+          : fabric.AcquireDesign(job.bitstream, ForecastDesigns());
   if (!acquired.ok()) return acquired.status();
   const hw::SlotAcquire& got = acquired.value();
   if (got.reconfigured) {

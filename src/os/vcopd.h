@@ -288,14 +288,21 @@ class Vcopd {
 
   /// Probes the fabric's configuration cache for `job`'s design and
   /// makes it active, paying a full configuration (cache miss) or a
-  /// slot activation (hit on a dormant slot) as needed. Fails when the
-  /// configuration stream errors (injected CRC fault) — the fabric
-  /// keeps its previous design and the job must be failed cleanly.
+  /// slot activation (hit on a dormant slot) as needed. A miss evicts
+  /// the resident design whose next use is farthest in the forecast.
+  /// Fails when the configuration stream errors (injected CRC fault) —
+  /// the fabric keeps its previous design and the job must be failed
+  /// cleanly.
   Result<Picoseconds> SwitchDesign(Job& job);
 
-  /// Bit-stream the tenant would need next (in-flight job when
-  /// preempted, else its queue head). Only called for runnable tenants.
-  static const std::string& HeadDesign(const Tenant& tenant);
+  /// Designs of the queued and in-flight jobs, in the order the
+  /// dispatcher is expected to serve them: the miss path's eviction
+  /// forecast (hw::FpgaFabric::AcquireDesign).
+  std::vector<std::string> ForecastDesigns() const;
+
+  /// The job the tenant would run next (in-flight job when preempted,
+  /// else its queue head). Only called for runnable tenants.
+  static const Job& HeadJob(const Tenant& tenant);
 
   void InstantiateHardware(Tenant& tenant, Job& job);
   /// Marks the tenant quarantined (idempotent) after a fault-budget,

@@ -974,6 +974,11 @@ Picoseconds Vim::SaveContext() {
     // switched out is a free drop; the lazy one defers them (DESIGN.md
     // §15).
     FoldTlb(asid, /*note_touch=*/false, &space_->tlb_snapshot);
+    // A two-level job's L1 is private to its IMU: no foreign eviction
+    // can reach it while the tenant is switched out, so an entry kept
+    // there could outlive its frame. The shared L2 keeps the entries,
+    // and the snapshot restores what L2 loses.
+    if (imu_->xlat().two_level()) imu_->tlb().InvalidateAsid(asid);
     saved = Sweep(asid,
                   config_.lazy_writeback ? SweepMode::kDefer
                                          : SweepMode::kClean,

@@ -33,7 +33,8 @@ struct SimTuning {
   /// event runs and keeps a perpetually-active domain preemptible by
   /// the dispatch budget.
   u32 max_inline_ticks = 64;
-  /// Fast-forward tier (opt-in, platform key `fastforward`): models may
+  /// Fast-forward engine (the default; platform key `fastforward = off`
+  /// selects the cycle engine, kept as the test oracle): models may
   /// complete a provably uneventful stretch analytically — the IMU
   /// resolves a guaranteed TLB-hit access at issue time with the
   /// completion timestamps computed from the clock grid, and a dormant
@@ -43,7 +44,7 @@ struct SimTuning {
   /// which decline at every uncertain edge (pending event, horizon,
   /// fired stop predicate); reports stay bit-identical
   /// (tests/fastforward_diff_test).
-  bool fastforward = false;
+  bool fastforward = true;
 };
 
 class Simulator {

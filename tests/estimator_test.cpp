@@ -264,10 +264,10 @@ TEST(PlatformFileTest, BadReconfigValuesAreRejectedByName) {
 }
 
 TEST(PlatformFileTest, ParsesFastforwardSpellings) {
-  // Off by default: the tier is strictly opt-in.
+  // On by default; `off` selects the cycle engine (the test oracle).
   auto defaults = runtime::ParsePlatformFile("");
   ASSERT_TRUE(defaults.ok());
-  EXPECT_FALSE(defaults.value().sim_tuning.fastforward);
+  EXPECT_TRUE(defaults.value().sim_tuning.fastforward);
 
   struct Case {
     const char* value;

@@ -236,6 +236,7 @@ TEST(FastForwardDiffTest, FaultPlansStayReplayableUnderFastForward) {
       os::KernelConfig ff_config = Epxa1Config();
       ff_config.sim_tuning.fastforward = true;
       os::KernelConfig cyc_config = Epxa1Config();
+      cyc_config.sim_tuning.fastforward = false;
 
       auto run = [&](const os::KernelConfig& config,
                      FaultPlan* plan) -> DiffOutcome {

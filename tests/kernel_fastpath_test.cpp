@@ -240,6 +240,7 @@ TEST(EdgeBatchingTest, DelayHintSkipsToTheInterestingEdgeInOneEvent) {
 TEST(EdgeBatchingTest, ReferenceTuningTicksEveryEdge) {
   Simulator sim;
   sim::SimTuning ref;
+  ref.fastforward = false;
   ref.batch_edges = false;
   ref.coalesce_ticks = false;
   sim.set_tuning(ref);
@@ -402,10 +403,16 @@ TEST(EdgeBatchingTest, CoincidentEdgesKeepCreationOrderUnderBatching) {
 
 // ----- Engine equivalence on the paper's workload points -----
 
-os::KernelConfig FastConfig() { return runtime::Epxa1Config(); }
+// Both sides run the cycle engine: this pins its edge batching, not the
+// fast-forward tier (fastforward_diff_test covers that).
+os::KernelConfig FastConfig() {
+  os::KernelConfig c = runtime::Epxa1Config();
+  c.sim_tuning.fastforward = false;
+  return c;
+}
 
 os::KernelConfig ReferenceConfig() {
-  os::KernelConfig c = runtime::Epxa1Config();
+  os::KernelConfig c = FastConfig();
   c.sim_tuning.batch_edges = false;
   c.sim_tuning.coalesce_ticks = false;
   c.imu_translation_cache = false;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "apps/adpcm.h"
@@ -786,6 +787,225 @@ TEST(VcopdReconfigTest, AffinityPlatformKeyMatchesExplicitConfig) {
   EXPECT_EQ(by_key.reconfigurations, by_config.reconfigurations);
   EXPECT_EQ(by_key.preemptions, by_config.preemptions);
   EXPECT_EQ(by_key.dispatches, by_config.dispatches);
+}
+
+// ----- next-use slot eviction (DESIGN.md §15) -----
+
+/// The vecadd core under another bit-stream name: a distinct design to
+/// the configuration cache, with the same objects and the same output,
+/// so one tenant can queue jobs for several designs.
+hw::Bitstream VecAddAs(const char* name) {
+  hw::Bitstream bitstream = cp::VecAddBitstream();
+  bitstream.name = name;
+  return bitstream;
+}
+
+TEST(SlotEvictionTest, FabricEvictsTheDesignNeededLastElseLru) {
+  FpgaSystem sys(SlottedConfig(2));
+  hw::FpgaFabric& fabric = sys.kernel().fabric();
+  const hw::Bitstream red = VecAddAs("red");
+  const hw::Bitstream green = VecAddAs("green");
+  const hw::Bitstream blue = VecAddAs("blue");
+  ASSERT_TRUE(fabric.AcquireDesign(red).value().reconfigured);
+  ASSERT_TRUE(fabric.AcquireDesign(green).value().reconfigured);
+
+  // LRU would evict red; the forecast needs red next and never green.
+  const std::vector<std::string> forecast = {"blue", "red"};
+  ASSERT_TRUE(fabric.AcquireDesign(blue, forecast).value().reconfigured);
+  EXPECT_TRUE(fabric.DesignResident("red"));
+  EXPECT_FALSE(fabric.DesignResident("green"));
+
+  // Both resident designs ranked: the later one goes.
+  const std::vector<std::string> both = {"green", "red", "blue"};
+  ASSERT_TRUE(fabric.AcquireDesign(green, both).value().reconfigured);
+  EXPECT_TRUE(fabric.DesignResident("red"));
+  EXPECT_FALSE(fabric.DesignResident("blue"));
+
+  // No forecast: least recently used (red, configured before green).
+  ASSERT_TRUE(fabric.AcquireDesign(blue).value().reconfigured);
+  EXPECT_FALSE(fabric.DesignResident("red"));
+  EXPECT_TRUE(fabric.DesignResident("green"));
+  EXPECT_EQ(fabric.slot_stats().evictions, 3u);
+}
+
+/// Fair share, one job per tenant on red, green, blue, red. When blue
+/// misses, LRU would evict red, which the next tenant in the ring needs;
+/// next-use eviction drops green, which no queued job needs, and saves
+/// a reconfiguration.
+TEST(SlotEvictionTest, EvictsTheDesignTheRingNeedsLast) {
+  FpgaSystem sys(SlottedConfig(2));
+  Vcopd daemon(sys.kernel());
+  const char* const designs[4] = {"red", "green", "blue", "red"};
+  std::vector<VecAddJob> jobs;
+  for (u32 i = 0; i < 4; ++i) {
+    jobs.push_back(StageVecAdd(sys, daemon, designs[i], 64, 50 + i));
+  }
+  for (u32 i = 0; i < 4; ++i) {
+    ASSERT_TRUE(VcopdClient(daemon, jobs[i].tenant)
+                    .Submit(VecAddAs(designs[i]), {64u})
+                    .ok());
+  }
+  const hw::FpgaFabric& fabric = sys.kernel().fabric();
+  while (daemon.stats().reconfigurations < 3) {
+    ASSERT_TRUE(daemon.HasWork());
+    ASSERT_TRUE(daemon.RunOne().ok());
+  }
+  EXPECT_EQ(fabric.active_design(), "blue");
+  EXPECT_TRUE(fabric.DesignResident("red"));
+  EXPECT_FALSE(fabric.DesignResident("green"));
+
+  ASSERT_TRUE(daemon.RunUntilIdle().ok());
+  EXPECT_EQ(daemon.stats().completed, 4u);
+  EXPECT_EQ(daemon.stats().reconfigurations, 3u);  // LRU: 4
+  EXPECT_EQ(daemon.stats().slot_activations, 1u);
+  EXPECT_EQ(fabric.slot_stats().evictions, 1u);
+  for (const VecAddJob& job : jobs) EXPECT_EQ(job.c.ToVector(), job.expect);
+}
+
+/// A preempted job is part of the forecast: its design stays resident
+/// while the tenant is switched out, so the resume only activates it.
+/// LRU would evict it (configured first) and reconfigure on resume.
+TEST(SlotEvictionTest, KeepsThePreemptedJobsDesign) {
+  FpgaSystem sys(SlottedConfig(2));
+  Vcopd daemon(sys.kernel());  // fair share: alpha outlives its slice
+
+  AdpcmJob alpha = StageAdpcm(sys, daemon, "alpha", 12 * 1024, 60);
+  VecAddJob green = StageVecAdd(sys, daemon, "green", 64, 61);
+  VecAddJob blue = StageVecAdd(sys, daemon, "blue", 64, 62);
+  const Ticket ta = VcopdClient(daemon, alpha.tenant)
+                        .Submit(cp::AdpcmDecodeBitstream(),
+                                {alpha.input_bytes, 0u, 0u})
+                        .value();
+  ASSERT_TRUE(VcopdClient(daemon, green.tenant)
+                  .Submit(VecAddAs("green"), {64u})
+                  .ok());
+  ASSERT_TRUE(VcopdClient(daemon, blue.tenant)
+                  .Submit(VecAddAs("blue"), {64u})
+                  .ok());
+  ASSERT_TRUE(daemon.RunUntilIdle().ok());
+
+  const JobResult* ra = daemon.Poll(ta);
+  ASSERT_NE(ra, nullptr);
+  ASSERT_TRUE(ra->status.ok());
+  EXPECT_GT(ra->preemptions, 0u);
+  EXPECT_EQ(ra->reconfigurations, 1u);  // LRU: 2
+  EXPECT_GT(ra->slot_activations, 0u);
+  EXPECT_EQ(daemon.stats().reconfigurations, 3u);
+  EXPECT_EQ(sys.kernel().fabric().slot_stats().evictions, 1u);
+  EXPECT_EQ(alpha.out.ToVector(), alpha.expect);
+  EXPECT_EQ(green.c.ToVector(), green.expect);
+  EXPECT_EQ(blue.c.ToVector(), blue.expect);
+}
+
+/// FIFO batching never picks a cold head while a resident one waits,
+/// so the forecast must look past the heads, in ticket order. Queues at
+/// blue's miss: A = [blue, green], B = [blue, red], tickets blue < blue
+/// < red < green. Ticket order evicts green; LRU and a ring walk would
+/// both evict red.
+TEST(SlotEvictionTest, FifoBatchForecastsInTicketOrder) {
+  FpgaSystem sys(SlottedConfig(2));
+  VcopdConfig config;
+  config.policy = ServicePolicy::kFifoBatch;
+  Vcopd daemon(sys.kernel(), config);
+  VecAddJob a = StageVecAdd(sys, daemon, "A", 64, 70);
+  VecAddJob b = StageVecAdd(sys, daemon, "B", 64, 71);
+  VcopdClient ca(daemon, a.tenant);
+  VcopdClient cb(daemon, b.tenant);
+  ASSERT_TRUE(ca.Submit(VecAddAs("red"), {64u}).ok());
+  ASSERT_TRUE(cb.Submit(VecAddAs("green"), {64u}).ok());
+  ASSERT_TRUE(daemon.RunOne().ok());
+  ASSERT_TRUE(daemon.RunOne().ok());
+
+  ASSERT_TRUE(ca.Submit(VecAddAs("blue"), {64u}).ok());
+  ASSERT_TRUE(cb.Submit(VecAddAs("blue"), {64u}).ok());
+  ASSERT_TRUE(cb.Submit(VecAddAs("red"), {64u}).ok());
+  ASSERT_TRUE(ca.Submit(VecAddAs("green"), {64u}).ok());
+  ASSERT_TRUE(daemon.RunOne().ok());
+  const hw::FpgaFabric& fabric = sys.kernel().fabric();
+  EXPECT_EQ(fabric.active_design(), "blue");
+  EXPECT_TRUE(fabric.DesignResident("red"));
+  EXPECT_FALSE(fabric.DesignResident("green"));
+
+  ASSERT_TRUE(daemon.RunUntilIdle().ok());
+  EXPECT_EQ(daemon.stats().completed, 6u);
+  EXPECT_EQ(daemon.stats().reconfigurations, 4u);
+  EXPECT_EQ(a.c.ToVector(), a.expect);
+  EXPECT_EQ(b.c.ToVector(), b.expect);
+}
+
+/// With one slot there is one candidate, so the forecast cannot change
+/// a thing: contended single-slot runs under each policy keep the
+/// digests they had when the cache evicted by LRU.
+TEST(SlotEvictionTest, SingleSlotRunsAreUnchanged) {
+  struct Case {
+    ServicePolicy policy;
+    bool affinity;
+    u64 expected;
+  };
+  const Case cases[3] = {
+      {ServicePolicy::kFairShare, false, 0x9f933953ce582d05ull},
+      {ServicePolicy::kFairShare, true, 0x3a113c81ba9a4371ull},
+      {ServicePolicy::kFifoBatch, false, 0x3afeb1ad438bbc7dull},
+  };
+  for (const Case& c : cases) {
+    FpgaSystem sys(SlottedConfig(1));
+    VcopdConfig config;
+    config.policy = c.policy;
+    config.time_slice = 50ull * 1000 * 1000;
+    config.quantum = 100ull * 1000 * 1000;
+    config.design_affinity = c.affinity;
+    Vcopd daemon(sys.kernel(), config);
+    AdpcmJob alpha = StageAdpcm(sys, daemon, "alpha", 8 * 1024, 80);
+    std::vector<VecAddJob> vec;
+    const char* const designs[3] = {"red", "green", "blue"};
+    for (u32 i = 0; i < 3; ++i) {
+      vec.push_back(StageVecAdd(sys, daemon, designs[i], 512, 81 + i));
+    }
+    std::vector<Ticket> tickets;
+    for (u32 round = 0; round < 2; ++round) {
+      tickets.push_back(VcopdClient(daemon, alpha.tenant)
+                            .Submit(cp::AdpcmDecodeBitstream(),
+                                    {alpha.input_bytes, 0u, 0u})
+                            .value());
+      for (u32 i = 0; i < 3; ++i) {
+        tickets.push_back(VcopdClient(daemon, vec[i].tenant)
+                              .Submit(VecAddAs(designs[(i + round) % 3]),
+                                      {512u})
+                              .value());
+      }
+    }
+    ASSERT_TRUE(daemon.RunUntilIdle().ok());
+    EXPECT_EQ(alpha.out.ToVector(), alpha.expect);
+    for (const VecAddJob& job : vec) EXPECT_EQ(job.c.ToVector(), job.expect);
+
+    u64 digest = 0xcbf29ce484222325ull;
+    const auto mix = [&digest](u64 v) {
+      for (u32 i = 0; i < 8; ++i) {
+        digest ^= (v >> (8 * i)) & 0xff;
+        digest *= 0x100000001b3ull;
+      }
+    };
+    for (const Ticket t : tickets) {
+      const JobResult* r = daemon.Poll(t);
+      ASSERT_NE(r, nullptr);
+      mix(static_cast<u64>(r->status.code()));
+      mix(r->started_at);
+      mix(r->finished_at);
+      mix(r->preemptions);
+      mix(r->reconfigurations);
+      mix(r->slot_activations);
+      mix(r->config_time);
+    }
+    const hw::ConfigSlotStats& slots = sys.kernel().fabric().slot_stats();
+    for (const u64 v : {slots.hits, slots.misses, slots.evictions,
+                        slots.activation_time, slots.configure_time,
+                        sys.kernel().simulator().now()}) {
+      mix(v);
+    }
+    EXPECT_EQ(digest, c.expected)
+        << ToString(c.policy) << " affinity=" << c.affinity << std::hex
+        << " digest=0x" << digest;
+  }
 }
 
 // ----- lazy context write-back (DESIGN.md §15) -----
